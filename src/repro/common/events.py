@@ -11,9 +11,10 @@ avoids one closure allocation per scheduled event (see
 ``docs/performance.md``).
 
 The queue doubles as the wakeup source for ``System.run``'s idle-cycle
-fast-forward: pending events bound how far the loop may skip
-(``next_time``), so a state transition is allowed to be "invisible" to
-``Core.quiet_until`` exactly when it is scheduled here.  Do NOT add
+fast-forward: pending events bound how far the loop may skip (the head
+of the heap), so a state transition is allowed to be "invisible" to the
+engine's quiet probe (``repro.sim.engine``) exactly when it is
+scheduled here.  Do NOT add
 no-op "wakeup" events to widen that contract — every schedule consumes
 a tie-breaking sequence number, so an extra event perturbs the FIFO
 order of same-cycle deliveries and changes simulated behaviour.  Cores

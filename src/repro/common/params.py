@@ -285,8 +285,8 @@ class SystemConfig:
     chaos: Optional[ChaosConfig] = None
     #: Test-only defense weakening (``DEFENSE_MUTATIONS``) for the
     #: leakage oracle's mutant self-test.  Empty in every real
-    #: configuration; a mutated config is ineligible for the
-    #: specialized engine so the weakened scheme hook is always honored.
+    #: configuration; a mutated scheme runs the engine's always-eligible
+    #: issue loop, which is exactly what both weakenings amount to.
     defense_mutation: str = ""
 
     @property

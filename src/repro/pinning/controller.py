@@ -45,11 +45,12 @@ _NO_MIN = 1 << 62
 class PinnedLoadsController:
     """Per-core pinning logic shared by the LP and EP designs.
 
-    Quiet/wakeup contract (``Core.quiet_until``): ``tick`` is a pure
-    function of state that only changes through event-mediated or
-    flagged transitions — coherence messages (CPT inserts/clears,
-    invalidations), fills (LP data arrival), retires and squashes
-    (releases, write-buffer and serializing windows), and dispatches
+    Quiet/wakeup contract (the engine's quiet probe,
+    ``repro.sim.engine``): ``tick`` is a pure function of state that
+    only changes through event-mediated or flagged transitions —
+    coherence messages (CPT inserts/clears, invalidations), fills (LP
+    data arrival), retires and squashes (releases, write-buffer and
+    serializing windows), and dispatches
     (LQ ID allocation).  Every one of those re-arms the core's
     ``_wake_pending`` flag, so the optimized run loop may skip the
     controller's tick whenever the flag is clear: rerunning the pin

@@ -13,7 +13,7 @@ class DelayOnMissScheme(DefenseScheme):
     full VP wait — the behaviour the paper highlights for bwaves/fotonik3d.
     """
 
-    __slots__ = ("_leaky",)
+    __slots__ = ()
 
     name = "dom"
 
@@ -22,10 +22,10 @@ class DelayOnMissScheme(DefenseScheme):
         # leakage-oracle mutant (DEFENSE_MUTATIONS): pre-VP misses stop
         # being delayed, so the attack campaign's self-test can assert
         # the oracle flips DOM's verdict to "leaks"
-        self._leaky = core.config.defense_mutation == "dom-leaky-miss"
+        self.mutated = core.config.defense_mutation == "dom-leaky-miss"
 
     def may_issue_pre_vp(self, entry: ROBEntry) -> bool:
-        if self._leaky:
+        if self.mutated:
             return True
         core = self.core
         return core.mem.l1_hit(core.core_id, entry.line)

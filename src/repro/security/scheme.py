@@ -25,7 +25,7 @@ class IssueMode(enum.Enum):
 class DefenseScheme:
     """Base class; the default is fully permissive (no protection)."""
 
-    __slots__ = ("core",)
+    __slots__ = ("core", "mutated")
 
     name = "base"
     #: If False, the core skips VP bookkeeping for issue decisions entirely
@@ -34,6 +34,9 @@ class DefenseScheme:
 
     def __init__(self, core) -> None:
         self.core = core
+        #: Weakened by its test-only ``DEFENSE_MUTATIONS`` entry: every
+        #: pre-VP load may issue (the engine then runs the unsafe loop).
+        self.mutated = False
 
     def may_issue_pre_vp(self, entry: ROBEntry) -> bool:
         """May this load, which has NOT reached its VP, execute now?"""

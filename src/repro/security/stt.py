@@ -12,7 +12,7 @@ class STTScheme(DefenseScheme):
     when the producing load reaches its VP — which is exactly the event
     Pinned Loads accelerates (paper §3.1)."""
 
-    __slots__ = ("_blind",)
+    __slots__ = ()
 
     name = "stt"
 
@@ -21,9 +21,9 @@ class STTScheme(DefenseScheme):
         # leakage-oracle mutant (DEFENSE_MUTATIONS): taint queries are
         # ignored, so the attack campaign's self-test can assert the
         # oracle flips STT's verdict to "leaks"
-        self._blind = core.config.defense_mutation == "stt-blind-taint"
+        self.mutated = core.config.defense_mutation == "stt-blind-taint"
 
     def may_issue_pre_vp(self, entry: ROBEntry) -> bool:
-        if self._blind:
+        if self.mutated:
             return True
         return not self.core.taint.addr_tainted(entry)

@@ -15,9 +15,10 @@ arithmetic: live means "inside the contiguous window ``[head, next)``",
 and pre-VP means "the VP column at ``root & mask`` is still -1" — no
 dict lookup, no entry object.
 
-Quiet/wakeup contract (``Core.quiet_until``): taint has no per-cycle
-machinery of its own — ``addr_tainted`` is a pure function of the root
-maps and of each root's (vp_cycle, ROB residency) state.  Roots are
+Quiet/wakeup contract (the engine's quiet probe, ``repro.sim.engine``):
+taint has no per-cycle machinery of its own — ``addr_tainted`` is a
+pure function of the root maps and of each root's (vp_cycle, ROB
+residency) state.  Roots are
 written at dispatch and their liveness flips only at VP marking, retire,
 or squash; each of those re-arms the core's ``_wake_pending`` flag, and
 taint-driven untainting *propagates* through the VP frontier walk the

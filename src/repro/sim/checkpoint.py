@@ -72,7 +72,10 @@ from repro.isa.trace import Workload
 #: slots, ``Trace`` its NOP-twin table (twins join the externalized
 #: immutable graph below), and the DOM/STT schemes their mutation
 #: flags.  v4 checkpoints no longer restore.
-CHECKPOINT_FORMAT_VERSION = 5
+#: 6: one run loop — ``CompiledTrace`` keeps only its opcode and
+#: load/store bytes, and the DOM/STT mutation flags became the base
+#: scheme's ``mutated`` slot.  v5 checkpoints no longer restore.
+CHECKPOINT_FORMAT_VERSION = 6
 
 #: Per-workload memo of the serialized immutable part and the
 #: ``id(object) -> persistent id`` table.  Weak keys: the memo must not

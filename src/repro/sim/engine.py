@@ -1,13 +1,11 @@
-"""Per-scheme specialized run loops over struct-of-arrays core state.
+"""The run loop: per-core specialized closures over struct-of-arrays state.
 
-``System.run`` delegates here when the configured defense belongs to one
-of the specialized families (unsafe / fence / DOM / STT — the 13-scheme
-paper grid) and no sanitizer is attached.  ``build_engine`` compiles each
-core's trace once (``repro.isa.compiled``) and closes a dedicated
-``tick``/``quiet_until`` pair over the core's hot state:
+``System.run`` runs every configuration here.  ``build_engine``
+decodes each core's trace once (``repro.isa.compiled``) and closes a
+dedicated ``tick``/``quiet_until`` pair over the core's hot state:
 
-* every scheme flag, threat-model level, latency, and capacity that the
-  generic ``Core.tick`` re-reads through attribute/property chains each
+* every scheme flag, threat-model level, latency, and capacity that
+  the stage methods re-read through attribute/property chains each
   cycle is bound once as a closure constant, so the inner loop carries
   no per-cycle scheme dispatch;
 * the mutable core state the closures chase is struct-of-arrays too
@@ -24,28 +22,43 @@ core's trace once (``repro.isa.compiled``) and closes a dedicated
   is a candidate-flag column scan over the LQ ring gated by a counter;
 * the pre-VP issue-mode test is inlined per defense family: fence
   (post-VP only), DOM (post-VP or L1 hit), STT (post-VP or untainted
-  address), unsafe (always), instead of two virtual calls per load per
-  scan — with the STT root-liveness probe reduced to window-bounds
-  integer compares against the VP column.
+  address), always (unsafe, and the ``DEFENSE_MUTATIONS`` mutants,
+  whose weakened scheme answers every pre-VP query "issue"), instead
+  of two virtual calls per load per scan — with the STT root-liveness
+  probe reduced to window-bounds integer compares against the VP
+  column.  A scheme without an inlined test (InvisiSpec, whose loads
+  issue invisibly and validate at their VP, or a new one) keeps
+  ``Core._issue_waiting_loads``, and one that overrides the
+  ``on_load_vp`` hook keeps ``Core._update_vps``.
 
-Behaviour is bit-exact against ``Core.tick`` / ``System.run_ticked`` and
-against the seed ``run_reference`` oracle: same event schedule (the tie
-break is the queue's insertion sequence, so the engine issues exactly
-the calls the generic path would), same statistics, same retire
-signatures.  Parity is asserted per grid cell by ``repro bench`` and by
-``tests/test_soa_parity.py``, chaos on and off.
+Two more build-time variants cover the checker paths, so the code the
+sanitizer and the leakage oracle check is the code that produces the
+figures:
 
-Two refinements beyond the generic tick:
+* a sanitized system (``SystemConfig.sanitize``) calls
+  ``Sanitizer.check_tick`` after every tick of every live core and is
+  never quiet-skipped (its quiet probe always answers "may act");
+* a transient trace (``Trace.has_transient``) gets a private view of
+  the per-uop arrays in which a uop whose guard has resolved reads as
+  its NOP twin (``_TraceView``).
+
+Behaviour is bit-exact against the seed ``run_reference`` oracle: same
+event schedule (the tie break is the queue's insertion sequence, so the
+engine issues exactly the calls the stage methods would), same
+statistics, same retire signatures.  Parity is asserted by
+``tests/test_soa_parity.py`` for every scheme, the InvisiSpec and
+mutant variants, sanitized runs and attack traces, chaos on and off.
+
+Two refinements beyond the per-cycle stage order:
 
 * the stalled-scan skip: when every waiting load was stalled by its
   scheme (``_waiting_stalled``) and nothing re-armed the core's
-  ``_wake_pending`` flag, the scan is provably a no-op (the
-  ``Core.quiet_until`` fixpoint contract — issue modes only flip via
-  flagged mutations or events) and is skipped even while other stages
-  stay busy;
+  ``_wake_pending`` flag, the scan is provably a no-op (the quiet
+  fixpoint contract — issue modes only flip via flagged mutations or
+  events) and is skipped even while other stages stay busy;
 * batched quiet-region stepping in the multi-core loop: each core
-  caches its last ``quiet_until`` bound, and a core whose bound still
-  covers this cycle is skipped entirely when no event fired and nothing
+  caches its last quiet bound, and a core whose bound still covers
+  this cycle is skipped entirely when no event fired and nothing
   re-armed its wake flag — sound because every cross-core mutation
   either arrives through the event queue (caught by the fired test) or
   re-arms the flag synchronously (coherence hooks, CPT traffic, and
@@ -53,12 +66,11 @@ Two refinements beyond the generic tick:
   timing state is stored as absolute cycles in the columns, skipped
   regions need no per-slot catch-up: the clock advances in one
   arithmetic step and every column value stays valid.  This composes
-  with the existing all-quiet jump (and with ``Executor`` lockstep
-  batching above it).
+  with the all-quiet jump.
 
 The engine holds no simulated state of its own: everything lives in the
 ordinary object model, so checkpoints, diagnostics, and the reference
-loops see one world.  Engines are rebuilt lazily after a checkpoint
+loop see one world.  Engines are rebuilt lazily after a checkpoint
 restore (``System.__getstate__`` drops them).
 """
 
@@ -71,21 +83,18 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.common.errors import DeadlockError
 from repro.common.params import DefenseKind, PinningMode, ThreatModel
-from repro.core.pipeline import L1_PORTS, QUIET_FOREVER, Core
+from repro.core.pipeline import L1_PORTS, Core
 from repro.core.rob import (FLAG_ADDR_READY, FLAG_COMPLETE, FLAG_FORWARDED,
                             FLAG_INVISIBLE, FLAG_ISSUED, FLAG_MCV_SAFE,
                             FLAG_OUTSTANDING, FLAG_PARKED, FLAG_PERFORMED,
                             FLAG_VP_CAND, ROBEntry)
 from repro.isa.compiled import (OP_ATOMIC, OP_BARRIER, OP_BRANCH, OP_FENCE,
-                                OP_LOAD, OP_STORE, CompiledTrace,
-                                compile_trace)
+                                OP_INT_ALU, OP_LOAD, OP_STORE,
+                                CompiledTrace, compile_trace)
+from repro.security.scheme import DefenseScheme
 
-#: Defense families with a specialized inner loop.  Anything else (e.g.
-#: invisible speculation, which is outside the paper's 13-scheme grid)
-#: falls back to the generic guarded tick loop.
-SPECIALIZED_DEFENSES = frozenset({
-    DefenseKind.UNSAFE, DefenseKind.FENCE, DefenseKind.DOM, DefenseKind.STT,
-})
+#: Quiet bound meaning "quiet until the next event".
+QUIET_FOREVER = 1 << 62
 
 #: Sentinel for "no live value" when a LazyMinSet min is hoisted into a
 #: plain integer compare (safely above any uop index).
@@ -101,7 +110,63 @@ _NO_MIN = 1 << 62
 # so a mid-run checkpoint still pickles the heap.
 
 
-def _make_issue_ready(core: Core, compiled: CompiledTrace) -> Callable[[], None]:
+class _TraceView:
+    """The per-uop arrays one core's closures read: the opcode and
+    load/store bytes (shared ``CompiledTrace``), and each position's
+    ``MicroOp`` and cache line, boxed per build so dispatch stores the
+    same objects every time it (re)dispatches a uop.
+
+    On a transient trace the view is private and mutable: a uop whose
+    guard is in ``Core._resolved_mispredicts`` reads as its NOP twin
+    (``Trace.twins``: an INT_ALU with the same deps and no address),
+    exactly as ``Core._dispatch_stage`` substitutes it.  ``sync``
+    re-derives that overlay from the resolved set; it runs at every
+    (re)build and, through the transient tick wrapper, at the start of
+    the first tick after the set grows.  A guard only resolves in an
+    event callback, which squashes every younger uop, so no in-flight
+    uop ever changes class under the closures."""
+
+    __slots__ = ("opcodes", "is_load", "is_store", "uops", "lines", "sync")
+
+    def __init__(self, core: Core, compiled: CompiledTrace) -> None:
+        trace = core.trace
+        uops = list(trace)
+        lines = [None if uop.addr is None else uop.addr >> 6
+                 for uop in uops]
+        self.uops = uops
+        self.lines = lines
+        # transient uops are never stores, so their twins keep the byte
+        self.is_store = compiled.is_store
+        self.sync: Optional[Callable[[], None]] = None
+        if not trace.has_transient:
+            self.opcodes = compiled.opcodes
+            self.is_load = compiled.is_load
+            return
+        opcodes = self.opcodes = bytearray(compiled.opcodes)
+        is_load = self.is_load = bytearray(compiled.is_load)
+        twins = trace.twins
+        guarded = [(index, trace[index].guard) for index in sorted(twins)]
+        resolved = core._resolved_mispredicts
+
+        def sync() -> None:
+            for index, guard in guarded:
+                if guard in resolved:
+                    uops[index] = twins[index]
+                    opcodes[index] = OP_INT_ALU
+                    is_load[index] = 0
+                    lines[index] = None
+
+        sync()
+        self.sync = sync
+
+
+def _never_quiet(cycle: int) -> int:
+    """Quiet probe of a sanitized core: its per-tick checks only cover
+    cycles that are ticked, so no cycle is ever skipped."""
+    return 0
+
+
+def _make_issue_ready(core: Core, view: _TraceView) -> Callable[[], None]:
     """Specialized ready-uop issue: the ``_begin_execution`` opclass
     ladder collapses to one byte read, with the event callbacks and
     latencies bound as closure constants.  The ready list holds plain
@@ -118,7 +183,7 @@ def _make_issue_ready(core: Core, compiled: CompiledTrace) -> Callable[[], None]
     complete = core._complete
     on_branch = core._on_branch_resolved
     on_addr = core._on_addr_ready
-    opcodes = compiled.opcodes
+    opcodes = view.opcodes
     handles = core._handles
     mask = core._slot_mask
     flags = core._flags
@@ -210,16 +275,17 @@ def _make_issue_one(core: Core) -> Callable:
     return issue_one
 
 
-def _make_issue_loads(core: Core,
-                      compiled: CompiledTrace) -> Callable[[], None]:
+def _make_issue_loads(core: Core, view: _TraceView) -> Callable[[], None]:
     """Specialized ``_issue_waiting_loads``: same sort / port budget /
-    keep / ``_waiting_stalled`` contract as the generic stage, with the
+    keep / ``_waiting_stalled`` contract as the stage method, with the
     two-virtual-call pre-VP issue-mode test inlined per defense family,
     the issue path inlined (``_make_issue_one``), the per-load stat
     bumps batched per scan, and the keep list compacted in place.  The
     waiting list holds plain indices; squashed ones were purged, so the
     only skip test left is one flags read (already issued for
-    pinning)."""
+    pinning).  A scheme without an inlined test here — InvisiSpec,
+    whose loads issue invisibly, or a new one — keeps the stage
+    method."""
     defense = core.config.defense
     issue = _make_issue_one(core)
     stats = core.stats
@@ -228,7 +294,7 @@ def _make_issue_loads(core: Core,
     flags = core._flags
     vp_col = core._vp_col
 
-    if defense is DefenseKind.UNSAFE:
+    if defense is DefenseKind.UNSAFE or core.scheme.mutated:
         def issue_loads() -> None:  # repro: hot
             wl = core._waiting_loads
             wl.sort()
@@ -327,7 +393,7 @@ def _make_issue_loads(core: Core,
     elif defense is DefenseKind.STT:
         roots_get = core.taint._output_roots.get
         rob = core.rob
-        deps_list = [u.deps for u in compiled.uops]
+        deps_list = [u.deps for u in view.uops]
 
         def issue_loads() -> None:  # repro: hot
             wl = core._waiting_loads
@@ -379,8 +445,8 @@ def _make_issue_loads(core: Core,
                 if issued > missed:
                     stats.bump("loads_forwarded", issued - missed)
 
-    else:  # pragma: no cover - build_engine filters these out
-        raise AssertionError(f"no specialized issue loop for {defense}")
+    else:
+        return core._issue_waiting_loads
 
     return issue_loads
 
@@ -388,7 +454,12 @@ def _make_issue_loads(core: Core,
 def _make_update_vps(core: Core) -> Callable[[], None]:
     """Specialized VP walk: threat-model levels and the pinning-mode
     branch become closure constants, and the candidate walk is a flags
-    scan over the LQ ring gated by the core's candidate counter."""
+    scan over the LQ ring gated by the core's candidate counter.  A
+    scheme that overrides the ``on_load_vp`` hook (InvisiSpec issues a
+    validation access there) keeps ``Core._update_vps``: the hoisted
+    walk below assumes marking a load does nothing else."""
+    if type(core.scheme).on_load_vp is not DefenseScheme.on_load_vp:
+        return core._update_vps
     level = core.config.threat_model.level
     chk_alias = level >= ThreatModel.ALIAS.level
     chk_except = level >= ThreatModel.EXCEPT.level
@@ -426,13 +497,12 @@ def _make_update_vps(core: Core) -> Callable[[], None]:
             return
         # The VP condition sets only shrink at retire / resolve events,
         # never during this walk (marking a load clears its candidate
-        # flag; its ``on_load_vp`` hook is a no-op for the specialized
-        # schemes), so each set's min is read once.  The index-bound
-        # break conditions are monotone and side-effect free, so "break
-        # on the first failing bound" equals "break when the index
-        # passes the smallest applicable bound" — and the break may fire
-        # on non-candidates too, since any later candidate has a larger
-        # index.
+        # flag; its ``on_load_vp`` hook is the base no-op), so each
+        # set's min is read once.  The index-bound break conditions are
+        # monotone and side-effect free, so "break on the first failing
+        # bound" equals "break when the index passes the smallest
+        # applicable bound" — and the break may fire on non-candidates
+        # too, since any later candidate has a larger index.
         while ub_heap and ub_heap[0] not in ub_live:
             heappop(ub_heap)
         bound = ub_heap[0] if ub_heap else _NO_MIN
@@ -494,7 +564,7 @@ def _make_update_vps(core: Core) -> Callable[[], None]:
     return update_vps
 
 
-def _make_retire(core: Core, compiled: CompiledTrace) -> Callable[[], None]:
+def _make_retire(core: Core, view: _TraceView) -> Callable[[], None]:
     """Specialized retire: the head-retirability ladder collapses to a
     byte compare plus one flags read for the common classes (ALU /
     branch / plain load / store); the rarer serializing classes keep the
@@ -506,7 +576,7 @@ def _make_retire(core: Core, compiled: CompiledTrace) -> Callable[[], None]:
     mask = core._slot_mask
     flags = core._flags
     vp_col = core._vp_col
-    opcodes = compiled.opcodes
+    opcodes = view.opcodes
     wb = core.write_buffer
     wb_entries = wb._entries
     wb_capacity = wb.capacity
@@ -598,24 +668,22 @@ def _make_retire(core: Core, compiled: CompiledTrace) -> Callable[[], None]:
     return retire_stage
 
 
-def _make_dispatch(core: Core, compiled: CompiledTrace) -> Callable[[], None]:
+def _make_dispatch(core: Core, view: _TraceView) -> Callable[[], None]:
     """Fully inlined ``Core._dispatch_stage`` + ``Core._dispatch``: the
-    trace probes are flat byte reads, the dependency walk runs on the
-    CSR arrays, and ``_value_available`` / ``rob.push`` / the LQ/SQ
-    allocations collapse to integer compares, one flags read, and ring
-    stores.  The resulting column state, waiter registrations and
-    VP-set updates are identical to the generic path's (same objects,
-    same order)."""
+    trace probes are flat byte reads on the view (which already holds
+    the NOP twin of a neutered transient uop), and ``_value_available``
+    / ``rob.push`` / the LQ/SQ allocations collapse to integer
+    compares, one flags read, and ring stores.  The resulting column
+    state, waiter registrations and VP-set updates are identical to the
+    stage methods' (same objects, same order)."""
     width = core.config.core.width
-    trace_len = compiled.length
-    opcodes = compiled.opcodes
-    uops = compiled.uops
+    opcodes = view.opcodes
+    uops = view.uops
+    trace_len = len(uops)
     # cache-line objects boxed once per engine build: every dispatch of
     # the same uop then stores the same int (or None) instead of
     # re-deriving it from ``uop.addr`` inside the ROBEntry constructor
-    raw_lines = compiled.lines
-    line_objs = [None if raw_lines[i] < 0 else raw_lines[i]
-                 for i in range(trace_len)]
+    line_objs = view.lines
     # dep tuples boxed once: saves two attribute loads per dispatch, and
     # the empty-tuple common case (ALU results with no data operands)
     # skips iterator setup entirely
@@ -926,16 +994,37 @@ def _make_controller_tick(core: Core) -> Callable[[], None]:
     return controller_tick
 
 
-def _make_quiet(core: Core, compiled: CompiledTrace) -> Callable[[int], int]:
-    """Specialized ``Core.quiet_until``: same conditions, same order,
-    with the trace/head probes on flat arrays and the occupancy tests
-    on window arithmetic."""
+def _make_quiet(core: Core, view: _TraceView) -> Callable[[int], int]:
+    """The quiet probe: an exclusive upper bound on the cycles whose
+    ticks are provably no-ops for this core absent an intervening
+    event; ``0`` if the core may act at ``cycle + 1``.
+
+    This is the soundness contract behind the run loops' fast-forward:
+    every per-cycle stage is frozen unless one of the conditions below
+    holds, because all other state transitions (completions, memory
+    fills, write-buffer drains, branch resolutions and the squashes
+    they cause) arrive via the event queue, and the loops never skip
+    past a pending event.
+
+    The defense machinery (the VP walk, taint queries, the pinning
+    controller) is quiet on the same argument, tracked by the
+    ``_wake_pending`` dirty flag: every mutation that can move VP,
+    taint, or pin state — dispatch, retire, squash, address generation,
+    branch resolution, data arrival, store drains, VP marking itself,
+    and the coherence-driven CPT/invalidation hooks — sets the flag, and
+    the tick clears it on entry.  A clear flag therefore means the
+    machinery is at a fixpoint: re-running the walk and the pin chain
+    on unchanged state marks and pins nothing, so the next ticks are
+    no-ops until an event or another core's tick re-arms the flag.
+    Stalled pre-VP loads (``_waiting_stalled``) are quiet on the same
+    fixpoint argument: an issue mode can only flip via a flagged
+    mutation or an event (cache fills move DOM's hit probe; VP marks
+    and retires move STT's taint roots)."""
     wake_matters = core._vp_active or core._pinning
-    opcodes = compiled.opcodes
-    barrier_ids = compiled.barrier_ids
-    is_load = compiled.is_load
-    is_store = compiled.is_store
-    trace_len = compiled.length
+    opcodes = view.opcodes
+    is_load = view.is_load
+    is_store = view.is_store
+    trace_len = len(view.uops)
     handles = core._handles
     mask = core._slot_mask
     flags = core._flags
@@ -960,16 +1049,20 @@ def _make_quiet(core: Core, compiled: CompiledTrace) -> Callable[[int], int]:
         if cursor > ru:
             code = opcodes[ru]
             if code == OP_ATOMIC:
-                return 0
+                return 0    # head-issue attempt runs inside retire
             elif code == OP_BARRIER:
-                if not handles[ru & mask].barrier_notified \
-                        or released(barrier_ids[ru]):
+                # un-notified heads must tick to arrive; released ones
+                # retire.  A notified, unreleased barrier is frozen
+                # until another core (never quiet mid-retire) releases.
+                head = handles[ru & mask]
+                if not head.barrier_notified \
+                        or released(head.uop.barrier_id):
                     return 0
             elif code == OP_FENCE:
                 if not core._wb_entries:
-                    return 0
+                    return 0    # retirable right now
             elif flags[ru & mask] & FLAG_COMPLETE:
-                return 0
+                return 0    # may retire (or attempt to) next tick
         if cursor < trace_len and cursor - ru < rob_capacity:
             if not ((is_load[cursor]
                      and lq._tail - lq._head >= lq_capacity)
@@ -977,40 +1070,41 @@ def _make_quiet(core: Core, compiled: CompiledTrace) -> Callable[[int], int]:
                         and sq._tail - sq._head >= sq_capacity)):
                 resume = core._fetch_resume
                 if resume <= cycle + 1:
-                    return 0
-                return resume
+                    return 0    # would dispatch next tick
+                return resume   # quiet until the resteer
         return QUIET_FOREVER
 
     return quiet_until
 
 
-def _specialize_core(core: Core, compiled: CompiledTrace,
+def _specialize_core(core: Core, compiled: CompiledTrace, sanitizer,
                      ) -> Tuple[Callable[[int], None], Callable[[int], int]]:
     """Compile one core's tick/quiet pair.  Stage activation flags
     (``vp_active``, pinning, LATE parking) are static per config, so the
-    per-cycle flag re-tests of the generic tick disappear."""
+    per-cycle flag re-tests of a generic tick disappear."""
     vp_active = core._vp_active
     pinning = core._pinning
     late = core.config.pinning.mode is PinningMode.LATE
     # The stalled-scan skip is sound only when issue eligibility flips
-    # exclusively through wake-flagged mutations (the quiet_until
-    # fixpoint contract): true for fence (vp_cycle), STT (vp_cycle /
-    # taint liveness) and unsafe (always eligible).  DOM eligibility
-    # also reads shared L1 state, which mem-side events (a write-buffer
-    # drain filling a line) change without waking the core, so DOM
-    # scans whenever loads wait — exactly like the generic tick.
+    # exclusively through wake-flagged mutations (the quiet fixpoint
+    # contract): true for fence (vp_cycle), STT (vp_cycle / taint
+    # liveness), unsafe and the mutants (always eligible) and InvisiSpec
+    # (never stalls).  DOM eligibility also reads shared L1 state, which
+    # mem-side events (a write-buffer drain filling a line) change
+    # without waking the core, so DOM scans whenever loads wait.
     scan_always = core.config.defense is DefenseKind.DOM
-    trace_len = compiled.length
+    view = _TraceView(core, compiled)
+    trace_len = len(view.uops)
     stats = core.stats
     controller_tick = _make_controller_tick(core) if pinning else None
     lp_retry = core._lp_retry_parked
     kick_wb = core._kick_write_buffer
-    retire_stage = _make_retire(core, compiled)
+    retire_stage = _make_retire(core, view)
     update_vps = _make_update_vps(core) if vp_active else None
-    issue_ready = _make_issue_ready(core, compiled)
-    issue_loads = _make_issue_loads(core, compiled)
-    dispatch_stage = _make_dispatch(core, compiled)
-    quiet_until = _make_quiet(core, compiled)
+    issue_ready = _make_issue_ready(core, view)
+    issue_loads = _make_issue_loads(core, view)
+    dispatch_stage = _make_dispatch(core, view)
+    quiet_until = _make_quiet(core, view)
 
     def tick(cycle: int) -> None:  # repro: hot
         if core.done_cycle is not None:
@@ -1045,24 +1139,57 @@ def _specialize_core(core: Core, compiled: CompiledTrace,
             stats.set("done_cycle", cycle)
             stats.set("retire_sig", core.retire_sig)
 
+    if view.sync is not None:
+        tick = _synced_tick(core, tick, view.sync)
+    if sanitizer is not None:
+        return _checked_tick(core, tick, sanitizer.check_tick), _never_quiet
     return tick, quiet_until
 
 
-class SpecializedEngine:
-    """Engine over one ``System``: per-core specialized closures plus a
-    run loop mirroring ``System.run_ticked``'s fast-forward structure."""
+def _checked_tick(core: Core, tick: Callable[[int], None],
+                  check: Callable[[Core], None]) -> Callable[[int], None]:
+    """Sanitized tick: the per-tick invariant checks follow every tick
+    of the live core."""
 
-    __slots__ = ("system", "_cores", "_ticks", "_quiets", "compiled")
+    def checked_tick(cycle: int) -> None:
+        tick(cycle)
+        check(core)
+
+    return checked_tick
+
+
+def _synced_tick(core: Core, tick: Callable[[int], None],
+                 sync: Callable[[], None]) -> Callable[[int], None]:
+    """Transient-trace tick: re-derive the twin view first whenever a
+    guard resolved since the last tick.  Guards resolve only in event
+    callbacks, which run before any tick of their cycle, so every
+    dispatch and quiet probe after a resolution sees the twins."""
+    resolved = core._resolved_mispredicts
+    seen = [len(resolved)]
+
+    def synced_tick(cycle: int) -> None:
+        if len(resolved) != seen[0]:
+            seen[0] = len(resolved)
+            sync()
+        tick(cycle)
+
+    return synced_tick
+
+
+class SpecializedEngine:
+    """Engine over one ``System``: per-core specialized closures plus
+    the single- and multi-core run loops with quiet fast-forward."""
+
+    __slots__ = ("system", "_cores", "_ticks", "_quiets")
 
     def __init__(self, system) -> None:
         self.system = system
         self._cores: List[Core] = list(system.cores)
-        self.compiled: List[CompiledTrace] = [
-            compile_trace(core.trace) for core in self._cores]
         self._ticks = []
         self._quiets = []
-        for core, compiled in zip(self._cores, self.compiled):
-            tick, quiet = _specialize_core(core, compiled)
+        for core in self._cores:
+            tick, quiet = _specialize_core(core, compile_trace(core.trace),
+                                           system.sanitizer)
             self._ticks.append(tick)
             self._quiets.append(quiet)
 
@@ -1225,24 +1352,8 @@ class SpecializedEngine:
         return cycle
 
 
-def build_engine(system) -> Optional[SpecializedEngine]:
-    """Compile a specialized engine for ``system``, or ``None`` when the
-    system must stay on the generic loop (sanitizer attached — it
-    shadows ``Core.tick`` through the instance dict — or a defense
-    outside the specialized families).
-
-    Adversarial traces (any transient uop) and mutated defenses
-    (``SystemConfig.defense_mutation``) also stay generic: the NOP-twin
-    substitution and the weakened scheme hooks live in ``Core``'s
-    dispatch/issue methods, which the compiled closures bypass.  Both
-    are security-evaluation paths (``repro attack``), never performance
-    cells, so they cost the specialization nothing."""
-    if system.sanitizer is not None:
-        return None
-    if system.config.defense not in SPECIALIZED_DEFENSES:
-        return None
-    if system.config.defense_mutation:
-        return None
-    if any(trace.has_transient for trace in system.workload.traces):
-        return None
+def build_engine(system) -> SpecializedEngine:
+    """Compile the engine for ``system``.  Called after the sanitizer
+    and the chaos engine attached, so the closures bind their
+    instance-level wrappers (``mem.load``, ``note_vp_reached``, ...)."""
     return SpecializedEngine(system)

@@ -59,12 +59,6 @@ CACHE_FORMAT_VERSION = 2
 #: with a ``checkpoint_dir`` and the caller gave no explicit interval.
 DEFAULT_CHECKPOINT_INTERVAL = 2_000
 
-#: Simulated cycles each member of a lockstep batch advances per slice.
-#: Large enough to amortize the slice bookkeeping, small enough that a
-#: batch's members stay interleaved (and a shared wall-clock budget is
-#: checked often) rather than running to completion one after another.
-LOCKSTEP_QUANTUM = 5_000
-
 #: True only inside a process-pool worker (set by the pool initializer).
 #: The chaos engine's process-fault injection (``crash_at_cycle`` /
 #: ``stall_at_cycle``) is gated on this so a degraded-to-serial executor
@@ -562,87 +556,6 @@ def _run_task(label: str, config: SystemConfig, workload: Workload,
         return (label, "error", f"{type(err).__name__}: {err}", meta)
 
 
-def _run_lockstep_batch(items: List[Tuple[str, SystemConfig, Workload,
-                                          int]],
-                        quantum: int,
-                        timeout_s: Optional[float],
-                        ) -> List[Tuple[str, str, object, Dict]]:
-    """Run several sweep cells of one workload interleaved in-process.
-
-    ``items`` is ``[(label, config, workload, attempt), ...]`` — every
-    member shares the same workload object, so the systems share one
-    warmed footprint computation pattern and (for specialized configs)
-    one compiled trace (``repro.isa.compiled`` memoizes per ``Trace``).
-    The batch advances round-robin, ``quantum`` simulated cycles per
-    member per slice, amortizing interpreter dispatch and keeping the
-    shared trace arrays hot in cache.  Interleaving cannot change any
-    result: each ``System`` is advanced through the same ``run`` entry
-    point an uninterrupted run uses, just in stop-cycle slices (the
-    same mechanism checkpointing relies on for bit-identity).
-
-    Failures are isolated per member, exactly like ``_run_task``: one
-    deadlocked cell yields its own failure outcome while its batch
-    siblings finish.  The wall-clock budget is shared — when it expires,
-    every *unfinished* member reports a timeout.
-    """
-    from repro.sim.runner import collect_result
-    from repro.sim.system import System
-    outcomes: Dict[str, Tuple[str, str, object, Dict]] = {}
-    live: List[Tuple[str, "System", Dict]] = []
-    for label, config, workload, attempt in items:
-        meta: Dict = {"attempt": attempt, "resumed_from": None,
-                      "lockstep": len(items)}
-        try:
-            system = System(config, workload)
-            system.mem.warm(workload)
-            live.append((label, system, meta))
-        except Exception as err:  # noqa: BLE001 - isolation boundary
-            outcomes[label] = (label, "error",
-                               f"{type(err).__name__}: {err}", meta)
-    # host-level budget enforcement, not simulated time: the batch
-    # shares one wall-clock deadline (max of the members' timeouts)
-    deadline = None if timeout_s is None \
-        else time.monotonic() + timeout_s  # repro: allow-wall-clock
-    while live:
-        still_running: List[Tuple[str, "System", Dict]] = []
-        for label, system, meta in live:
-            if deadline is not None \
-                    and time.monotonic() >= deadline:  # repro: allow-wall-clock
-                outcomes[label] = (label, "timeout",
-                                   f"exceeded {timeout_s}s "
-                                   f"(shared lockstep budget)", meta)
-                continue
-            try:
-                system.run(stop_cycle=system.cycles + quantum)
-            except DeadlockError as err:
-                meta["dump"] = err.dump
-                outcomes[label] = (label, "error",
-                                   f"DeadlockError: {err}", meta)
-                continue
-            except MemoryError:
-                outcomes[label] = (
-                    label, "oom",
-                    "worker exhausted its memory ceiling (RLIMIT_AS)",
-                    meta)
-                continue
-            except Exception as err:  # noqa: BLE001 - isolation
-                outcomes[label] = (label, "error",
-                                   f"{type(err).__name__}: {err}", meta)
-                continue
-            if system.done:
-                try:
-                    outcomes[label] = (label, "ok",
-                                       collect_result(system), meta)
-                except Exception as err:  # noqa: BLE001 - isolation
-                    outcomes[label] = (label, "error",
-                                       f"{type(err).__name__}: {err}",
-                                       meta)
-            else:
-                still_running.append((label, system, meta))
-        live = still_running
-    return [outcomes[label] for label, _cfg, _wl, _att in items]
-
-
 class Executor:
     """Fans batches of sweep tasks over a process pool, self-healing.
 
@@ -660,16 +573,10 @@ class Executor:
     * recovers from a broken process pool by building a fresh pool for
       the next round, and degrades to in-process serial execution after
       ``pool_failure_limit`` consecutive breaks;
-    * batches same-workload cells into lockstep groups
-      (``lockstep=N``): up to N configs/seeds of one sweep cell run
-      interleaved in a single process, sharing the workload's compiled
-      trace and amortizing interpreter dispatch (see
-      ``_run_lockstep_batch``); checkpointed or drainable batches fall
-      back to per-task execution, where rolling checkpoints work;
     * is deterministic: the returned mapping depends only on the tasks,
-      never on ``jobs``, ``lockstep``, completion order, or how many
-      faults were healed along the way (a resumed run is bit-identical
-      to a fresh one — see ``repro.sim.checkpoint``).
+      never on ``jobs``, completion order, or how many faults were
+      healed along the way (a resumed run is bit-identical to a fresh
+      one — see ``repro.sim.checkpoint``).
     """
 
     def __init__(self, jobs: int = 1, timeout_s: Optional[float] = None,
@@ -680,9 +587,7 @@ class Executor:
                  checkpoint_dir: Optional[str] = None,
                  checkpoint_interval: Optional[int] = None,
                  worker_memory_mb: Optional[int] = None,
-                 drain_flag: Optional[str] = None,
-                 lockstep: int = 1,
-                 lockstep_quantum: int = LOCKSTEP_QUANTUM) -> None:
+                 drain_flag: Optional[str] = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
@@ -691,13 +596,7 @@ class Executor:
             raise ValueError("pool_failure_limit must be >= 1")
         if worker_memory_mb is not None and worker_memory_mb < 1:
             raise ValueError("worker_memory_mb must be >= 1")
-        if lockstep < 1:
-            raise ValueError("lockstep must be >= 1")
-        if lockstep_quantum < 1:
-            raise ValueError("lockstep_quantum must be >= 1")
         self.jobs = jobs
-        self.lockstep = lockstep
-        self.lockstep_quantum = lockstep_quantum
         self.timeout_s = timeout_s
         self.cache = cache
         self.retries = retries
@@ -736,34 +635,6 @@ class Executor:
         return min(self.backoff_cap_s,
                    self.backoff_s * (2 ** (round_index - 1)))
 
-    def _lockstep_groups(self, pending: Dict[str, Task]
-                         ) -> Tuple[List[List[Tuple[str, Task]]],
-                                    Dict[str, Task]]:
-        """Split pending tasks into lockstep batches and singletons.
-
-        Tasks sharing a workload *content* fingerprint are chunked into
-        groups of up to ``lockstep`` members.  Checkpointing and
-        cooperative drain are per-task mechanisms, so an executor
-        configured with either runs everything on the per-task path.
-        """
-        if self.lockstep <= 1 or self.checkpoint_dir is not None \
-                or self.drain_flag is not None:
-            return [], dict(pending)
-        by_workload: Dict[str, List[Tuple[str, Task]]] = {}
-        for key, task in pending.items():
-            by_workload.setdefault(task.workload.fingerprint,
-                                   []).append((key, task))
-        batches: List[List[Tuple[str, Task]]] = []
-        singles: Dict[str, Task] = {}
-        for members in by_workload.values():
-            for start in range(0, len(members), self.lockstep):
-                chunk = members[start:start + self.lockstep]
-                if len(chunk) == 1:
-                    singles[chunk[0][0]] = chunk[0][1]
-                else:
-                    batches.append(chunk)
-        return batches, singles
-
     def _checkpoint_args(self, key: str
                          ) -> Tuple[Optional[str], Optional[int]]:
         if self.checkpoint_dir is None:
@@ -779,7 +650,7 @@ class Executor:
         stats = {"tasks": len(tasks), "cache_hits": 0, "simulated": 0,
                  "deduplicated": 0, "failed": 0, "retries": 0,
                  "resumed": 0, "pool_rebuilds": 0, "degraded_serial": 0,
-                 "drained": 0, "lockstep_batches": 0}
+                 "drained": 0}
         results: Dict[str, SimResult] = {}
         failures: List[TaskFailure] = []
         drained: Dict[str, int] = {}
@@ -866,24 +737,8 @@ class Executor:
             return task.timeout_s if task.timeout_s is not None \
                 else self.timeout_s
 
-        batches, singles = self._lockstep_groups(pending)
-        stats["lockstep_batches"] += len(batches)
-
-        def batch_args(members: List[Tuple[str, Task]]):
-            items = [(task.label, task.config, task.workload,
-                      attempt[key]) for key, task in members]
-            budget = [timeout_of(task) for _key, task in members
-                      if timeout_of(task) is not None]
-            return items, (max(budget) if budget else None)
-
         if self.jobs == 1 or self._degraded:
-            for members in batches:
-                items, budget = batch_args(members)
-                outcomes = _run_lockstep_batch(
-                    items, self.lockstep_quantum, budget)
-                for (key, _task), outcome in zip(members, outcomes):
-                    yield key, outcome
-            for key, task in singles.items():
+            for key, task in pending.items():
                 path, interval = self._checkpoint_args(key)
                 yield key, _run_task(task.label, task.config,
                                      task.workload, timeout_of(task),
@@ -894,40 +749,15 @@ class Executor:
         with ProcessPoolExecutor(max_workers=self.jobs,
                                  initializer=_init_pool_worker,
                                  initargs=(self.worker_memory_mb,)) as pool:
-            batch_futures = []
-            for members in batches:
-                items, budget = batch_args(members)
-                batch_futures.append((members, pool.submit(
-                    _run_lockstep_batch, items,
-                    self.lockstep_quantum, budget)))
             futures = {}
-            for key, task in singles.items():
+            for key, task in pending.items():
                 path, interval = self._checkpoint_args(key)
                 futures[key] = pool.submit(
                     _run_task, task.label, task.config, task.workload,
                     timeout_of(task), attempt[key], path, interval,
                     task.resume, self.drain_flag)
-            for members, future in batch_futures:
-                try:
-                    outcomes = future.result()
-                except BrokenExecutor:
-                    broken = True
-                    for key, task in members:
-                        yield key, (task.label, "interrupted",
-                                    "worker process died before the "
-                                    "task completed",
-                                    {"attempt": attempt[key]})
-                    continue
-                except Exception as err:  # noqa: BLE001 - isolation
-                    for key, task in members:
-                        yield key, (task.label, "error",
-                                    f"{type(err).__name__}: {err}",
-                                    {"attempt": attempt[key]})
-                    continue
-                for (key, _task), outcome in zip(members, outcomes):
-                    yield key, outcome
             for key, future in futures.items():
-                task = singles[key]
+                task = pending[key]
                 try:
                     yield key, future.result()
                 except BrokenExecutor:

@@ -7,7 +7,7 @@ from typing import Dict, List, Optional, Set
 from repro.common.errors import ConfigError, DeadlockError
 from repro.common.events import EventQueue
 from repro.common.params import SystemConfig
-from repro.core.pipeline import QUIET_FOREVER, Core, RetireProgress
+from repro.core.pipeline import Core, RetireProgress
 from repro.isa.trace import Workload
 from repro.mem.coherence import CoherentMemory
 
@@ -26,9 +26,9 @@ class BarrierManager:
     happens synchronously inside the *last* arriving core's retire stage
     (not through the event queue), so it is exactly the kind of
     cross-core mutation the quiet/wakeup contract requires to be
-    flagged.  The specialized multi-core loop relies on this to skip
-    ticks of cores parked on a notified barrier (``repro.sim.engine``);
-    for the generic loops the extra wake is a conservative no-op.
+    flagged.  The multi-core loop relies on this to skip ticks of cores
+    parked on a notified barrier (``repro.sim.engine``); for the
+    reference loop the extra wake is a conservative no-op.
     """
 
     __slots__ = ("num_cores", "_arrived", "_released", "_cores")
@@ -91,8 +91,8 @@ class System:
                 # event goes through the trace-recording shims
                 self.sanitizer.attach_chaos(self.chaos)
             self.chaos.install()
-        # lazily-built specialized engine (repro.sim.engine); ``False``
-        # records that this system is ineligible so ``run`` probes once
+        # lazily-built run loop (repro.sim.engine), after the sanitizer
+        # and chaos wrappers above are in place
         self._engine = None
 
     def __getstate__(self):
@@ -116,125 +116,31 @@ class System:
         ``self.cycles`` and the stitched run is bit-identical to an
         uninterrupted one.
 
-        Dispatches to the struct-of-arrays specialized engine
-        (``repro.sim.engine``) when the defense scheme has one and no
-        sanitizer is attached; otherwise falls back to the generic
-        guarded loop ``run_ticked``.  Both are bit-exact against
-        ``run_reference`` (asserted by the tests and by every
-        ``repro bench`` hot-loop cell).
+        Every configuration runs on the struct-of-arrays engine
+        (``repro.sim.engine``), sanitized, transient and InvisiSpec
+        systems included; it is bit-exact against ``run_reference``
+        (asserted by ``tests/test_soa_parity.py``).
         """
-        if self.sanitizer is None:
-            engine = self._engine
-            if engine is None:
-                from repro.sim.engine import build_engine
-                engine = build_engine(self)
-                if engine is None:
-                    engine = False      # ineligible; don't probe again
-                self._engine = engine
-            if engine is not False:
-                return engine.run(max_cycles, stop_cycle)
-        return self.run_ticked(max_cycles, stop_cycle)
-
-    def run_ticked(self, max_cycles: int = 50_000_000,
-                   stop_cycle: Optional[int] = None) -> int:
-        """The generic guarded per-core tick loop (the PR 4 engine).
-
-        This is the fallback for configurations without a specialized
-        inner loop and for sanitized runs (the sanitizer shadows
-        ``Core.tick``, so every tick must go through the method).  Two
-        things keep the
-        per-cycle cost low without changing simulated behaviour:
-
-        * the deadlock scan is incremental — cores bump one shared
-          ``RetireProgress`` counter at retire, so detecting forward
-          progress is O(1) per cycle instead of an O(cores) stats walk;
-        * finished cores leave the tick list instead of being re-checked
-          every remaining cycle;
-        * when every live core reports (``Core.quiet_until``) that its
-          next ticks are provably no-ops — typically all cores stalled
-          on outstanding memory misses, or defended cores whose VP /
-          taint / pinning machinery is at a fixpoint (the
-          ``_wake_pending`` contract in ``Core.quiet_until``) — the
-          loop fast-forwards the cycle counter to the next pending
-          event instead of ticking through the dead cycles one by one.
-
-        ``run_reference`` preserves the original per-cycle structure and
-        must produce bit-identical cycle counts (asserted by the tests;
-        timed against this loop by ``python -m repro bench``).
-        """
-        cycle = self.cycles
-        last_progress_cycle = cycle
-        last_retired = -1
-        deadlock_window = self.config.deadlock_cycles
-        events = self.events
-        progress = self.progress
-        # the sanitizer observes per-tick invariants; give it every tick
-        fast_forward = self.sanitizer is None
-        live = [core for core in self.cores if not core.done]
-        while live:
-            if stop_cycle is not None and cycle >= stop_cycle:
-                break
-            cycle += 1
-            events.run_until(cycle)
-            finished = False
-            for core in live:
-                core.tick(cycle)
-                if core.done_cycle is not None:
-                    finished = True
-            if finished:
-                live = [core for core in live if core.done_cycle is None]
-                if not live:
-                    break
-            retired = progress.count
-            if retired != last_retired:
-                last_retired = retired
-                last_progress_cycle = cycle
-            elif cycle - last_progress_cycle > deadlock_window:
-                detail = "; ".join(repr(core) for core in self.cores
-                                   if not core.done)
-                raise DeadlockError(cycle, detail,
-                                    dump=self.diagnostic_dump(cycle))
-            if cycle >= max_cycles:
-                raise DeadlockError(cycle, "max_cycles exceeded",
-                                    dump=self.diagnostic_dump(cycle))
-            if fast_forward:
-                bound = QUIET_FOREVER
-                for core in live:
-                    core_bound = core.quiet_until(cycle)
-                    if core_bound <= cycle + 1:
-                        bound = 0
-                        break
-                    if core_bound < bound:
-                        bound = core_bound
-                if bound > cycle + 1:
-                    # ticks strictly before `target` are no-ops; land on
-                    # the first cycle where anything can happen again —
-                    # an event delivery, a fetch resteer, the deadlock
-                    # check, or the max_cycles backstop
-                    target = bound
-                    next_event = events.next_time()
-                    if next_event is not None and next_event < target:
-                        target = next_event
-                    deadlock_at = last_progress_cycle + deadlock_window + 1
-                    if deadlock_at < target:
-                        target = deadlock_at
-                    if max_cycles < target:
-                        target = max_cycles
-                    if stop_cycle is not None and stop_cycle < target:
-                        target = stop_cycle
-                    if target > cycle + 1:
-                        cycle = target - 1
-        self.cycles = cycle
-        if self.sanitizer is not None and self.done:
-            self.sanitizer.finish()
+        engine = self._engine
+        if engine is None:
+            from repro.sim.engine import build_engine
+            engine = self._engine = build_engine(self)
+        cycle = engine.run(max_cycles, stop_cycle)
+        if self.done:
+            # a finished system never ticks again: free the closures and
+            # their per-build trace views now, not when the (cyclic)
+            # system graph is collected
+            self._engine = None
+            if self.sanitizer is not None:
+                self.sanitizer.finish()
         return cycle
 
     def run_reference(self, max_cycles: int = 50_000_000) -> int:
         """The unoptimized run loop: full per-cycle core scan, O(cores)
         retired summation, and unguarded per-stage calls via
-        ``Core.tick_reference``.  Kept as the validation baseline for the
-        optimized ``run`` — same simulated behaviour, measurably slower
-        (``python -m repro bench`` reports the ratio)."""
+        ``Core.tick_reference``.  Kept as the validation oracle for the
+        engine behind ``run`` — same simulated behaviour, measurably
+        slower (``python -m repro bench`` reports the ratio)."""
         cycle = 0
         last_progress_cycle = 0
         last_retired = -1

@@ -38,10 +38,11 @@ CYCLE_ATTRS = {"now", "cycles", "cycle"}
 #: the queue itself owns .now
 CYCLE_OWNER_SUFFIX = "common/events.py"
 
-#: functions allowed to write time: the run loops assign the cycle they
-#: are executing, __init__ establishes cycle zero
-CYCLE_WRITER_FUNCS = {"__init__", "run", "run_ticked", "run_reference",
-                      "tick", "tick_reference", "_run_single", "_run_multi"}
+#: functions allowed to write time: the run loops (the engine's run
+#: methods and per-core ``tick`` closures, the reference loop) assign the
+#: cycle they are executing, __init__ establishes cycle zero
+CYCLE_WRITER_FUNCS = {"__init__", "run", "run_reference", "tick",
+                      "tick_reference", "_run_single", "_run_multi"}
 
 CYCLE_SCOPED_PACKAGES = {"core", "mem", "pinning", "security", "sim",
                          "chaos", "common"}

@@ -1,7 +1,8 @@
 """wakeup-contract: wake-relevant mutations must re-arm the dirty bit.
 
 The event-driven fast-forward (``System.run`` skipping cycles a defended
-core proves quiet via ``Core.quiet_until``) is sound only under one
+core proves quiet via the engine's quiet probe, ``repro.sim.engine``) is
+sound only under one
 contract: **every mutation that can change the next value-predictable
 cycle — VP frontier membership, taint/root tracking, pin/CST/CPT state,
 LQ/SQ allocation — must re-arm ``Core._wake_pending``**, either directly
@@ -49,7 +50,7 @@ WAKE_SCOPED_PACKAGES = {"core", "mem", "pinning", "security"}
 WAKE_SCALAR_ATTRS = {"mcv_safe", "pinned", "vp_cycle", "parked",
                      "_vp_candidates"}
 
-#: container attributes whose membership feeds quiet_until / the VP walk
+#: container attributes whose membership feeds the quiet probe / VP walk
 WAKE_CONTAINER_ATTRS = {
     "unresolved_branches", "unknown_addr_stores",
     "unknown_addr_memops", "unretired_loads", "serializing",
@@ -79,9 +80,11 @@ WAKE_OBJECT_METHODS = {
 
 #: function names covered by convention, not by re-arming:
 #: ``__init__`` runs during construction (before any tick can sleep);
-#: ``tick``/``tick_reference`` are the per-cycle entry points — any
-#: state they move is observed by the very cycle executing them, and
-#: ``Core.tick`` owns the flag's clear/handoff itself.
+#: ``tick``/``tick_reference`` are the per-cycle entry points (the
+#: engine's per-core closures, ``PinnedLoadsController.tick``, the
+#: reference step) — any state they move is observed by the very cycle
+#: executing them, and the engine's ``tick`` owns the flag's
+#: clear/handoff itself.
 WAKE_EXEMPT_ROOTS = {"__init__", "tick", "tick_reference"}
 
 WAKE_FLAG = "_wake_pending"
@@ -197,8 +200,8 @@ class WakeupContractPass(AnalysisPass):
         if not scoped:
             return []
         # the call graph spans *all* analyzed files so that callers
-        # outside the scoped packages (e.g. sim/system.py driving
-        # core.tick) still count as coverage evidence
+        # outside the scoped packages (e.g. sim/engine.py driving the
+        # stage methods) still count as coverage evidence
         graph = CallGraph(f for f in ctx.files if f.tree is not None)
         rearming: Set[str] = {
             name for name, nodes in graph.functions.items()

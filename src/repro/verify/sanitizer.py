@@ -30,9 +30,13 @@ A violation raises :class:`repro.common.errors.InvariantViolation`
 carrying the suffix of the sanitizer's event trace, so the failing
 interleaving can be reconstructed.
 
-The instrumentation is pure instance-attribute wrapping: nothing on the
-hot path changes when ``sanitize`` is off (see
-``benchmarks/test_sanitizer_overhead.py`` for the measured cost when on).
+The event checks are instance-attribute wrapping, installed before the
+run loop is built, so the engine's closures bind the wrappers; the
+per-tick checks are :meth:`Sanitizer.check_tick`, which the engine's
+sanitized variant calls after every tick of every live core (and it
+never skips a cycle).  Nothing on the hot path changes when
+``sanitize`` is off (see ``benchmarks/test_sanitizer_overhead.py`` for
+the measured cost when on).
 """
 
 from __future__ import annotations
@@ -190,7 +194,6 @@ class Sanitizer:
         orig_on_inval = core.on_invalidation
         orig_on_evicted = core.on_line_evicted
         orig_note_vp = core.note_vp_reached
-        orig_tick = core.tick
         orig_cpt_insert = controller.cpt.insert
         orig_cpt_remove = controller.cpt.remove
         cpt = controller.cpt
@@ -245,11 +248,6 @@ class Sanitizer:
                 self._check_vp_conditions(core, entry)
             return orig_note_vp(entry)
 
-        def tick(cycle):
-            result = orig_tick(cycle)
-            self._check_per_tick(core, controller)
-            return result
-
         def cpt_insert(line, writer=None):
             self._record(f"cpt+ core={core.core_id} line={line:#x}")
             result = orig_cpt_insert(line, writer=writer)
@@ -265,7 +263,6 @@ class Sanitizer:
         core.on_invalidation = on_invalidation
         core.on_line_evicted = on_line_evicted
         core.note_vp_reached = note_vp_reached
-        core.tick = tick
         controller._pin = pin
         controller._unpin = unpin
         controller.cpt.insert = cpt_insert
@@ -384,7 +381,11 @@ class Sanitizer:
                        if older.index < entry.index)
         return False
 
-    def _check_per_tick(self, core, controller) -> None:
+    def check_tick(self, core) -> None:
+        """Per-tick invariants of one core: write-buffer bound, pin
+        accounting and CPT occupancy.  The engine calls this after every
+        tick of every live core of a sanitized system."""
+        controller = core.controller
         if len(core.write_buffer) > core.write_buffer.capacity:
             self._fail(
                 "write-buffer-bound",

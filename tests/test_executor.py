@@ -562,63 +562,3 @@ class TestWorkerMemoryCeiling:
     def test_rejects_nonsense_ceiling(self):
         with pytest.raises(ValueError):
             Executor(jobs=2, worker_memory_mb=0)
-
-
-class TestLockstepBatching:
-    """Same-workload cells interleaved in one process (lockstep=N)."""
-
-    SCHEMES = (BASE, FENCE_EP,
-               BASE.with_defense(DefenseKind.DOM, COMPREHENSIVE,
-                                 PinningMode.EARLY))
-
-    def _tasks(self, workload):
-        return [Task(f"cell{i}", config, workload)
-                for i, config in enumerate(self.SCHEMES)]
-
-    def test_batched_results_bit_identical_to_serial(self):
-        workload = small_workload()
-        tasks = self._tasks(workload)
-        plain = Executor(jobs=1).run_tasks(tasks)
-        batched = Executor(jobs=1, lockstep=3).run_tasks(tasks)
-        assert not plain.failures and not batched.failures
-        assert batched.stats["lockstep_batches"] == 1
-        for task in tasks:
-            a = plain.results[task.label]
-            b = batched.results[task.label]
-            assert (a.cycles, a.core_stats, a.pinning_stats) \
-                == (b.cycles, b.core_stats, b.pinning_stats)
-
-    def test_groups_by_workload_content(self):
-        # different workloads never share a batch; chunking is by
-        # content fingerprint, not label
-        tasks = self._tasks(small_workload()) \
-            + [Task("other", BASE, small_workload(seed=2))]
-        outcome = Executor(jobs=1, lockstep=8).run_tasks(tasks)
-        assert not outcome.failures
-        assert outcome.stats["lockstep_batches"] == 1
-
-    def test_failure_isolated_inside_batch(self):
-        # a hair-trigger deadlock window makes one member of the batch
-        # raise DeadlockError deterministically; its sibling finishes
-        import dataclasses
-        workload = small_workload()
-        sick = dataclasses.replace(BASE, deadlock_cycles=2)
-        tasks = [Task("good", FENCE_EP, workload),
-                 Task("sick", sick, workload)]
-        outcome = Executor(jobs=1, lockstep=2).run_tasks(tasks)
-        assert [f.label for f in outcome.failures] == ["sick"]
-        assert "good" in outcome.results
-
-    def test_checkpointing_disables_batching(self, tmp_path):
-        workload = small_workload()
-        ex = Executor(jobs=1, lockstep=4,
-                      checkpoint_dir=str(tmp_path / "ckpt"))
-        outcome = ex.run_tasks(self._tasks(workload))
-        assert not outcome.failures
-        assert outcome.stats["lockstep_batches"] == 0
-
-    def test_rejects_nonsense_lockstep(self):
-        with pytest.raises(ValueError):
-            Executor(lockstep=0)
-        with pytest.raises(ValueError):
-            Executor(lockstep_quantum=0)

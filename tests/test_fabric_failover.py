@@ -48,6 +48,18 @@ def free_port():
         return sock.getsockname()[1]
 
 
+def reserve_ports(count):
+    """``count`` distinct free ports, each held bound by the returned
+    socket until the caller closes it, so a listener bound to port 0
+    meanwhile (a ``FaultProxy``) cannot be handed one of them."""
+    socks = []
+    for _ in range(count):
+        sock = socket.socket()
+        sock.bind(("127.0.0.1", 0))
+        socks.append(sock)
+    return [sock.getsockname()[1] for sock in socks], socks
+
+
 def start_shard(root, port, ring=None, shard_index=None):
     env = dict(os.environ)
     env["PYTHONPATH"] = REPO_SRC + os.pathsep + env.get("PYTHONPATH", "")
@@ -109,10 +121,12 @@ def test_kill9_primary_mid_sweep_is_bit_identical(tmp_path):
         stop(proc)
 
     # -- 3-shard ring, every shard behind a seeded fault proxy ---------
-    ports = [free_port() for _ in range(3)]
+    ports, held = reserve_ports(3)
     proxies = [FaultProxy(upstream_port=p, seed=11 + i,
                           latency_prob=0.3, latency_s=0.02)
                for i, p in enumerate(ports)]
+    for sock in held:  # the shards bind these next
+        sock.close()
     for proxy in proxies:
         proxy.start()
     ring = [proxy.url for proxy in proxies]

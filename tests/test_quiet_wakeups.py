@@ -1,17 +1,18 @@
-"""Randomized soundness of the ``Core.quiet_until`` wakeup contract.
+"""Randomized soundness of the quiet-skip wakeup contract.
 
-``System.run`` fast-forwards over cycles every live core declares quiet.
-Since the defended schemes (fence/DOM/STT x Comp/LP/EP/Spectre) now
-participate via the ``_wake_pending`` dirty flag, the property that
-keeps the optimization honest is: for *any* generated workload and *any*
-scheme, with or without chaos fault injection, the optimized loop must
-be indistinguishable from the cycle-by-cycle reference loop — equal
-cycle counts and equal per-core pipeline *and* pinning statistics.
+``System.run`` fast-forwards over cycles every live core declares quiet
+(the ``_wake_pending`` contract).  The property that keeps the
+optimization honest is: for *any* generated workload and *any* scheme,
+with or without chaos fault injection, ``run`` must be
+indistinguishable from the cycle-by-cycle ``run_reference`` loop —
+equal cycle counts and equal per-core pipeline *and* pinning
+statistics.  ``tests/test_soa_parity.py`` asserts the same parity over
+multi-core workloads and attack pairs.
 
-A second property pins down the escape hatch: sanitized runs
-(``config.sanitize``) must still visit every single cycle, because the
-sanitizer's invariant checks are per-tick observations that a skipped
-cycle would silently drop.
+Sanitized runs (``config.sanitize``) are the escape hatch: the
+engine's sanitized variant calls ``Sanitizer.check_tick`` after every
+tick and never quiet-skips, because the per-tick invariant checks are
+observations that a skipped cycle would silently drop.
 """
 
 import dataclasses
@@ -101,23 +102,31 @@ class TestSanitizedRunsNeverSkip:
     @SLOW
     @given(profile=PROFILES,
            seed=st.integers(min_value=1, max_value=50),
-           label=st.sampled_from(sorted(SCHEMES)))
-    def test_sanitized_run_visits_every_cycle(self, profile, seed, label):
-        """With the sanitizer attached, ``run`` must tick every cycle:
-        its per-tick invariant checks only cover cycles that happen."""
-        workload = build_workload(profile, seed=seed,
+           label=st.sampled_from(sorted(SCHEMES)),
+           threads=st.sampled_from([1, 2]))
+    def test_sanitized_run_visits_every_cycle(self, profile, seed, label,
+                                              threads):
+        """With the sanitizer attached, every live core is checked at
+        every cycle: core ``c`` at exactly cycles ``1..done_cycle(c)``."""
+        workload = build_workload(profile, seed=seed, num_threads=threads,
                                   instructions_per_thread=200)
-        config = dataclasses.replace(SCHEMES[label], sanitize=True)
+        config = dataclasses.replace(SCHEMES[label], num_cores=threads,
+                                     sanitize=True)
         system = System(config, workload)
         system.mem.warm(workload)
-        visited = set()
-        for core in system.cores:
-            # shadow the (already sanitizer-wrapped) bound tick with a
-            # recording wrapper; Core carries __dict__ exactly so such
-            # instance-level shims are possible
-            def recording_tick(cycle, _inner=core.tick):
-                visited.add(cycle)
-                return _inner(cycle)
-            core.tick = recording_tick
+        checked = {core.core_id: [] for core in system.cores}
+        check_tick = system.sanitizer.check_tick
+
+        # shadow the hook before the first run builds the engine, which
+        # binds it; the real checks still run
+        def recording_check(core):
+            checked[core.core_id].append(core.cycle)
+            check_tick(core)
+
+        system.sanitizer.check_tick = recording_check
         cycles = system.run()
-        assert visited == set(range(1, cycles + 1)), label
+        for core in system.cores:
+            assert checked[core.core_id] \
+                == list(range(1, core.done_cycle + 1)), \
+                f"{label}: core {core.core_id}"
+        assert max(core.done_cycle for core in system.cores) == cycles
