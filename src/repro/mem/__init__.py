@@ -4,8 +4,7 @@ from repro.mem.cache import CacheArray, LineState, MSHRFile
 from repro.mem.coherence import CoherentMemory, CorePort
 from repro.mem.directory import DirEntry
 from repro.mem.network import MeshNetwork
-from repro.mem.replacement import LRUSet
 from repro.mem.writebuffer import WriteBuffer
 
 __all__ = ["CacheArray", "CoherentMemory", "CorePort", "DirEntry",
-           "LRUSet", "LineState", "MSHRFile", "MeshNetwork", "WriteBuffer"]
+           "LineState", "MSHRFile", "MeshNetwork", "WriteBuffer"]

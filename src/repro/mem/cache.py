@@ -8,10 +8,13 @@ inclusive, as in the paper's MESI configuration).
 from __future__ import annotations
 
 import enum
+from types import MappingProxyType
 from typing import Callable, Dict, List, Optional
 
 from repro.common.params import CacheParams
-from repro.mem.replacement import LRUSet
+
+#: read-only stand-in for a set no fill has created yet
+_NO_LINES = MappingProxyType({})
 
 
 class LineState(enum.Enum):
@@ -27,63 +30,91 @@ class LineState(enum.Enum):
 
 
 class CacheArray:
-    """A physically-indexed, set-associative array with LRU replacement."""
+    """A physically-indexed, set-associative array with LRU replacement.
 
-    __slots__ = ("params", "num_sets", "_sets", "_mask")
+    ``_sets`` maps a set index to that set's ``{line: state}`` dict and
+    holds only the sets ``fill`` has created: a run touches a few percent
+    of a modelled LLC's sets, and a set never filled reads as an empty
+    one.  Each set dict iterates from LRU to MRU — plain dicts keep
+    insertion order, and "recently used" is re-insertion at the end
+    (``pop`` + assign).
+    """
+
+    __slots__ = ("params", "num_sets", "ways", "_sets", "_mask")
 
     def __init__(self, params: CacheParams) -> None:
         params.validate()
         self.params = params
         self.num_sets = params.sets
+        self.ways = params.ways
         self._mask = self.num_sets - 1      # sets is a power of two
-        self._sets: List[LRUSet] = [LRUSet(params.ways)
-                                    for _ in range(self.num_sets)]
+        self._sets: Dict[int, Dict[int, object]] = {}
 
     def set_of(self, line: int) -> int:
         return line & self._mask
 
-    def _set(self, line: int) -> LRUSet:
-        return self._sets[line & self._mask]
-
     def lookup(self, line: int, touch: bool = True) -> Optional[LineState]:
         """State of ``line`` if resident (``None`` on miss).  Called on
         every load/store/probe, so the set index is computed inline."""
-        cache_set = self._sets[line & self._mask]
-        state = cache_set.get(line)
+        lines = self._sets.get(line & self._mask, _NO_LINES)
+        state = lines.get(line)
         if state is not None and touch:
-            cache_set.touch(line)
+            lines[line] = lines.pop(line)
         return state
 
     def set_state(self, line: int, state: LineState) -> None:
-        cache_set = self._set(line)
-        if line not in cache_set:
+        """Overwrite a resident line's state; the line becomes MRU."""
+        lines = self._sets.get(line & self._mask, _NO_LINES)
+        if line not in lines:
             raise KeyError(f"line {line:#x} not resident")
-        cache_set.update(line, state)
+        del lines[line]
+        lines[line] = state
 
     def fill(self, line: int, state: LineState) -> None:
-        """Insert ``line``; the caller must already have made room."""
-        self._set(line).insert(line, state)
+        """Insert ``line`` as MRU; the caller must already have made room."""
+        index = line & self._mask
+        lines = self._sets.get(index)
+        if lines is None:
+            lines = self._sets[index] = {}
+        elif len(lines) >= self.ways:
+            raise ValueError("set full; evict first")
+        lines[line] = state
 
     def invalidate(self, line: int) -> bool:
         """Drop ``line`` if resident; returns whether it was resident."""
-        cache_set = self._set(line)
-        if line in cache_set:
-            cache_set.remove(line)
+        lines = self._sets.get(line & self._mask, _NO_LINES)
+        if line in lines:
+            del lines[line]
             return True
         return False
 
     def needs_victim(self, line: int) -> bool:
-        cache_set = self._set(line)
-        return line not in cache_set and cache_set.full
+        lines = self._sets.get(line & self._mask, _NO_LINES)
+        return line not in lines and len(lines) >= self.ways
 
     def pick_victim(self, line: int,
                     evictable: Optional[Callable[[int], bool]] = None,
                     ) -> Optional[int]:
-        """LRU victim in ``line``'s set, honoring the evictable filter."""
-        return self._set(line).pick_victim(evictable)
+        """The LRU line of ``line``'s set for which ``evictable`` holds.
+
+        Pinned Loads' eviction-denial rule (paper §5.1.3): skipped
+        (pinned) lines are promoted to MRU, "as if the line had been
+        accessed".  Returns ``None`` when every resident line is pinned.
+        """
+        lines = self._sets.get(line & self._mask, _NO_LINES)
+        skipped = []
+        victim = None
+        for resident in lines:
+            if evictable is None or evictable(resident):
+                victim = resident
+                break
+            skipped.append(resident)
+        for resident in skipped:
+            lines[resident] = lines.pop(resident)
+        return victim
 
     def resident_lines(self, set_index: int):
-        return self._sets[set_index].lines()
+        return self._sets.get(set_index, _NO_LINES).keys()
 
     def sample_resident_line(self, rng,
                              evictable: Optional[Callable[[int], bool]] = None,
@@ -93,45 +124,35 @@ class CacheArray:
         (``repro.chaos``) to pick forced-eviction victims; candidates are
         sorted so the draw depends only on ``rng``'s seed, never on dict
         iteration order."""
-        start = rng.randrange(self.num_sets)
-        for offset in range(self.num_sets):
-            cache_set = self._sets[(start + offset) & self._mask]
-            lines = sorted(cache_set.lines())
-            if evictable is not None:
-                lines = [line for line in lines if evictable(line)]
-            if lines:
-                return rng.choice(lines)
-        return None
+        candidates = sorted(line for lines in self._sets.values()
+                            for line in lines
+                            if evictable is None or evictable(line))
+        return rng.choice(candidates) if candidates else None
 
     def occupancy(self) -> int:
-        return sum(len(s) for s in self._sets)
+        return sum(map(len, self._sets.values()))
 
-    # -- checkpoint shape (format v3) ----------------------------------
+    # -- checkpoint shape ----------------------------------------------
     #
-    # A tag array is mostly empty sets: pickling one ``LRUSet`` object
-    # per set made cache state the bulk of every checkpoint (tens of
-    # thousands of objects for an LLC).  Serialize only the occupied
-    # sets as ``(set_index, [(line, state), ...])`` rows — the item
-    # order of each row is the set's LRU->MRU order, so a restored
-    # array replays identical victim choices.
+    # Only the non-empty sets are serialized, as ``(set_index, [(line,
+    # state), ...])`` rows in set-index order.  The item order of each
+    # row is the set's LRU->MRU order, so a restored array replays
+    # identical victim choices.
 
     def __getstate__(self):
         return {"params": self.params,
-                "occupied": [(index, list(s._lines.items()))
-                             for index, s in enumerate(self._sets)
-                             if s._lines]}
+                "occupied": [(index, list(lines.items()))
+                             for index, lines in sorted(self._sets.items())
+                             if lines]}
 
     def __setstate__(self, state) -> None:
         params = state["params"]
         self.params = params
         self.num_sets = params.sets
+        self.ways = params.ways
         self._mask = self.num_sets - 1
-        ways = params.ways
-        self._sets = [LRUSet(ways) for _ in range(self.num_sets)]
-        for index, items in state["occupied"]:
-            lines = self._sets[index]._lines
-            for line, value in items:
-                lines[line] = value
+        self._sets = {index: dict(items)
+                      for index, items in state["occupied"]}
 
 
 class MSHR:

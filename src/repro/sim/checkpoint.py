@@ -75,7 +75,10 @@ from repro.isa.trace import Workload
 #: 6: one run loop — ``CompiledTrace`` keeps only its opcode and
 #: load/store bytes, and the DOM/STT mutation flags became the base
 #: scheme's ``mutated`` slot.  v5 checkpoints no longer restore.
-CHECKPOINT_FORMAT_VERSION = 6
+#: 7: sparse tag arrays — ``CacheArray`` holds only filled sets, as
+#: plain dicts (``LRUSet`` is gone), and grew a ``ways`` slot.  v6
+#: checkpoints no longer restore.
+CHECKPOINT_FORMAT_VERSION = 7
 
 #: Per-workload memo of the serialized immutable part and the
 #: ``id(object) -> persistent id`` table.  Weak keys: the memo must not

@@ -353,12 +353,12 @@ def _make_issue_loads(core: Core, view: _TraceView) -> Callable[[], None]:
 
     elif defense is DefenseKind.DOM:
         # inlined CoherentMemory.l1_hit -> CacheArray.lookup(touch=False):
-        # a hit probe is one dict membership test per waiting load.  The
-        # per-set ``_lines`` dicts are stable attributes (mutated, never
-        # reassigned), so the hoisted list stays live.
+        # a hit probe is one set fetch and one membership test per
+        # waiting load.  Sets appear as the run fills them, so only the
+        # set map (mutated, never reassigned) is hoisted, never a set.
         l1 = core.mem.l1s[core.core_id]
         l1_mask = l1._mask
-        l1_lines = [lru._lines for lru in l1._sets]
+        l1_set = l1._sets.get
 
         def issue_loads() -> None:  # repro: hot
             wl = core._waiting_loads
@@ -373,7 +373,7 @@ def _make_issue_loads(core: Core, view: _TraceView) -> Callable[[], None]:
                     continue
                 entry = handles[slot]
                 line = entry.line
-                if vp_col[slot] >= 0 or line in l1_lines[line & l1_mask]:
+                if vp_col[slot] >= 0 or line in l1_set(line & l1_mask, ()):
                     if budget:
                         budget -= 1
                         issued += 1

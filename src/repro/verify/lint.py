@@ -179,7 +179,7 @@ class _SetRegistry:
 
     Inference is by bare name, so an attribute name annotated ``Set[...]``
     in one class and something else in another (e.g. ``_lines`` is a set in
-    ``CannotPinTable`` but an LRU-ordered dict in ``LRUSet``) is ambiguous
+    ``CannotPinTable`` but a dict in ``L1TagPinRecord``) is ambiguous
     and deliberately dropped — a false negative beats telling someone to
     ``sorted()`` an order-bearing container.
     """
