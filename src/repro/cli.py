@@ -476,41 +476,14 @@ def _cmd_serve(args) -> int:
     logging.basicConfig(
         level=logging.DEBUG if args.verbose else logging.INFO,
         format="%(asctime)s %(name)s %(levelname)s %(message)s")
-    fabric = None
-    peers = None
-    if args.ring:
-        from repro.common.errors import BadRequestError
-        from repro.service.fabric import HashRing, parse_ring
-        try:
-            members = parse_ring(args.ring)
-            if args.shard_index is None:
-                raise BadRequestError("--ring needs --shard-index "
-                                      "(which member this process is)")
-            if not 0 <= args.shard_index < len(members):
-                raise BadRequestError(
-                    f"--shard-index {args.shard_index} out of range "
-                    f"for a {len(members)}-member ring")
-            ring = HashRing(members)
-        except BadRequestError as error:
-            raise SystemExit(f"repro serve: {error}")
-        peers = [url for index, url in enumerate(members)
-                 if index != args.shard_index]
-        fabric = {"ring": members,
-                  "shard": members[args.shard_index],
-                  "shard_index": args.shard_index,
-                  "stats": ring.describe()}
-    elif args.shard_index is not None:
-        raise SystemExit("repro serve: --shard-index needs --ring")
     supervisor = Supervisor(
         args.root, jobs=args.jobs, queue_capacity=args.queue_capacity,
         timeout_s=args.timeout, retries=args.retries,
         worker_memory_mb=args.worker_memory_mb,
         checkpoint_interval=args.checkpoint_interval,
-        fsync=not args.no_fsync,
-        tenant_capacity=args.tenant_capacity,
-        peers=peers)
+        fsync=not args.no_fsync)
     try:
-        serve(supervisor, host=args.host, port=args.port, fabric=fabric)
+        serve(supervisor, host=args.host, port=args.port)
     except OSError as error:
         raise SystemExit(f"repro serve: cannot listen on "
                          f"{args.host}:{args.port}: {error}")
@@ -520,26 +493,18 @@ def _cmd_serve(args) -> int:
 def _cmd_submit(args) -> int:
     import json
 
-    from repro.common.errors import BadRequestError, ServiceError
+    from repro.common.errors import ServiceError
     from repro.service import JobSpec, ServiceClient
     try:
         chaos = json.loads(args.chaos) if args.chaos else None
         spec = JobSpec(workload=args.workload, scheme=args.scheme,
                        instructions=args.instructions,
                        threads=args.threads, sanitize=args.sanitize,
-                       chaos=chaos, priority=args.priority,
-                       tenant=args.tenant)
+                       chaos=chaos, priority=args.priority)
         spec.resolve()  # reject bad cells before touching the network
     except ValueError as error:
         raise SystemExit(f"repro submit: {error}")
-    if args.fabric:
-        from repro.service.fabric import FederatedClient
-        try:
-            client = FederatedClient(args.fabric)
-        except BadRequestError as error:
-            raise SystemExit(f"repro submit: {error}")
-    else:
-        client = ServiceClient(args.url)
+    client = ServiceClient(args.url)
     try:
         if args.wait:
             result = client.run(spec, timeout_s=args.wait_timeout)
@@ -799,16 +764,6 @@ def build_parser() -> argparse.ArgumentParser:
     serve_p.add_argument("--no-fsync", action="store_true",
                          help="skip fsync on journal appends (faster, "
                          "loses the last records on power failure)")
-    serve_p.add_argument("--ring", default="", metavar="URL,URL,...",
-                         help="federate: full shard URL list of the "
-                         "consistent-hash ring this process belongs to "
-                         "(peers get store read-through; /ring reports "
-                         "the layout)")
-    serve_p.add_argument("--shard-index", type=int, default=None,
-                         help="this process's index into --ring")
-    serve_p.add_argument("--tenant-capacity", type=int, default=None,
-                         help="per-tenant admission quota (default: "
-                         "no per-tenant bound)")
     serve_p.add_argument("--verbose", action="store_true")
     serve_p.set_defaults(func=_cmd_serve)
 
@@ -827,13 +782,6 @@ def build_parser() -> argparse.ArgumentParser:
                           help="ChaosConfig fields as a JSON object")
     submit_p.add_argument("--priority", type=int, default=5,
                           help="0=interactive .. 10=bulk (default 5)")
-    submit_p.add_argument("--fabric", default="", metavar="URL,URL,...",
-                          help="submit through the federated ring of "
-                          "shard URLs instead of a single --url "
-                          "(consistent-hash routing + replica failover)")
-    submit_p.add_argument("--tenant", default="default",
-                          help="tenant name for fair-share accounting "
-                          "(default 'default')")
     submit_p.add_argument("--wait", action="store_true",
                           help="block until the job finishes and print "
                           "its result document")

@@ -60,20 +60,17 @@ class ServiceError(ReproError):
     re-raises the matching subclass from the wire form, so both sides
     agree on the taxonomy (documented in ``docs/resilience.md``):
 
-    =====================  ======  ========================================
-    ``code``               status  meaning
-    =====================  ======  ========================================
-    ``invalid-request``      400   malformed job spec / unknown field value
-    ``not-found``            404   no such job id
-    ``queue-full``           429   admission queue at capacity; retry later
-    ``quota-exceeded``       429   this tenant's fair-share quota is full
-    ``rejecting``            503   service degraded to reject-only
-    ``draining``             503   service is draining; submissions refused
-    ``shard-unavailable``    503   every replica of a job's ring slot is
-                                   unreachable (federation only)
-    ``job-failed``           500   the simulation itself failed (see detail)
-    ``internal``             500   unexpected server-side error
-    =====================  ======  ========================================
+    ==================  ======  ===========================================
+    ``code``            status  meaning
+    ==================  ======  ===========================================
+    ``invalid-request``   400   malformed request, job spec or field value
+    ``not-found``         404   no such job id
+    ``queue-full``        429   admission queue at capacity; retry later
+    ``rejecting``         503   service degraded to reject-only
+    ``draining``          503   service is draining; submissions refused
+    ``job-failed``        500   the simulation itself failed (see detail)
+    ``internal``          500   unexpected server-side error
+    ==================  ======  ===========================================
 
     ``retry_after_s`` is the server's backpressure hint (also sent as a
     ``Retry-After`` header); ``None`` means retrying is pointless.
@@ -127,17 +124,6 @@ class QueueFullError(ServiceError):
     http_status = 429
 
 
-class QuotaExceededError(ServiceError):
-    """This tenant's slice of the admission queue is full (per-tenant
-    fair-share quota): the submission was refused even though the queue
-    as a whole may have room, so one tenant's burst cannot crowd out
-    everyone else.  ``retry_after_s`` estimates when the tenant's own
-    backlog should drain a slot."""
-
-    code = "quota-exceeded"
-    http_status = 429
-
-
 class RejectingError(ServiceError):
     """The service degraded to reject-only (the bottom rung of the
     degradation ladder) and is probing for recovery."""
@@ -154,18 +140,6 @@ class DrainingError(ServiceError):
     http_status = 503
 
 
-class ShardUnavailableError(ServiceError):
-    """Every replica of a job's consistent-hash ring slot is
-    unreachable: the ``FederatedClient`` walked the whole replica set
-    and each shard failed with a connection-level error.  Raised
-    client-side by ``repro.service.fabric`` (it never crosses the wire
-    from a single shard) but part of the documented taxonomy so
-    ``repro submit --fabric`` exit paths stay structured."""
-
-    code = "shard-unavailable"
-    http_status = 503
-
-
 class JobFailedError(ServiceError):
     """The job ran and failed (simulation error, timeout after all
     retries, invariant violation).  Carries the failure kind/message."""
@@ -175,9 +149,8 @@ class JobFailedError(ServiceError):
 
 
 _SERVICE_ERRORS = {cls.code: cls for cls in (
-    BadRequestError, JobNotFoundError, QueueFullError,
-    QuotaExceededError, RejectingError, DrainingError,
-    ShardUnavailableError, JobFailedError, ServiceError)}
+    BadRequestError, JobNotFoundError, QueueFullError, RejectingError,
+    DrainingError, JobFailedError, ServiceError)}
 
 
 class DeadlockError(SimulationError):

@@ -1,31 +1,24 @@
 """Crash-tolerant simulation job service (``repro serve`` / ``submit``).
 
 The layer above the self-healing executor: a durable write-ahead
-journal of job transitions, bounded admission with backpressure and
-per-tenant fair share, a supervising watchdog with staged degradation,
-and a localhost HTTP front end.  ``repro.service.fabric`` federates N
-such shards behind one consistent-hash-routing client with replica
-failover and store read-through.  See ``docs/resilience.md`` ("The job
-service" and "Federation") for the journal format, state machine,
-degradation ladder, error taxonomy, and the ring/replica contract.
+journal of job transitions, bounded admission with backpressure, a
+supervising watchdog with staged degradation, and a localhost HTTP
+front end.  See ``docs/resilience.md`` ("The job service") for the
+journal format, state machine, degradation ladder, and error taxonomy.
 """
 
 from repro.service.client import ServiceClient
-from repro.service.fabric import (FaultProxy, FederatedClient, HashRing,
-                                  parse_ring)
 from repro.service.jobs import (PRIORITY_BULK, PRIORITY_DEFAULT,
                                 PRIORITY_INTERACTIVE, JobSpec, build_cell)
 from repro.service.journal import (JOURNAL_FORMAT_VERSION, Journal,
                                    reduce_records)
-from repro.service.queue import DEFAULT_TENANT, AdmissionQueue
+from repro.service.queue import AdmissionQueue
 from repro.service.server import ServiceServer, serve
 from repro.service.supervisor import DEGRADATION_LADDER, Supervisor
 
 __all__ = [
-    "AdmissionQueue", "DEFAULT_TENANT", "DEGRADATION_LADDER",
-    "FaultProxy", "FederatedClient", "HashRing",
-    "JOURNAL_FORMAT_VERSION", "JobSpec", "Journal", "PRIORITY_BULK",
-    "PRIORITY_DEFAULT", "PRIORITY_INTERACTIVE", "ServiceClient",
-    "ServiceServer", "Supervisor", "build_cell", "parse_ring",
-    "reduce_records", "serve",
+    "AdmissionQueue", "DEGRADATION_LADDER", "JOURNAL_FORMAT_VERSION",
+    "JobSpec", "Journal", "PRIORITY_BULK", "PRIORITY_DEFAULT",
+    "PRIORITY_INTERACTIVE", "ServiceClient", "ServiceServer",
+    "Supervisor", "build_cell", "reduce_records", "serve",
 ]

@@ -8,19 +8,13 @@ honoring the server's ``retry_after_s`` hint when one is present;
 permanent conditions (400 bad spec, 404, job failures) surface
 immediately as the matching ``ServiceError`` subclass.
 
-Jitter is drawn from a client-owned seeded ``random.Random`` — never
-the global RNG — so client behaviour in tests is reproducible and the
-simulator's determinism lint stays clean.  The ``jitter_seed``
-constructor argument (default ``0``) seeds that RNG: it feeds both the
-retry backoff in ``_request`` and the poll backoff in ``wait``, so two
-clients built with the same seed replay the exact same timing decisions
-— pass distinct seeds to desynchronize a fleet, or a fixed one to make
-a test's retry schedule deterministic.
+Jitter is drawn from a client-owned ``random.Random(0)`` — never the
+global RNG — so every client replays the same retry schedule and the
+simulator's determinism lint stays clean.
 
-``wait`` prefers the server's long-poll watch endpoint
-(``GET /jobs?watch=``) and only falls back to polling — with capped
-exponential backoff honoring the server's ``retry_after_s`` hints —
-when talking to a server that predates it.
+``wait`` is a loop over the server's long-poll watch endpoint
+(``GET /jobs?watch=``): the server does the waiting, the client never
+sleeps between status checks.
 """
 
 from __future__ import annotations
@@ -33,15 +27,13 @@ import urllib.request
 from typing import Any, Dict, List, Optional
 
 from repro.common.errors import (DrainingError, JobFailedError,
-                                 JobNotFoundError, QueueFullError,
-                                 QuotaExceededError, RejectingError,
+                                 QueueFullError, RejectingError,
                                  ServiceError)
 from repro.service.jobs import JobSpec
 from repro.sim.results import SimResult
 
 #: Errors worth retrying: the condition is expected to clear.
-_TRANSIENT = (QueueFullError, QuotaExceededError, RejectingError,
-              DrainingError)
+_TRANSIENT = (QueueFullError, RejectingError, DrainingError)
 
 #: Per-request watch window ``wait`` asks the server for.  Matches the
 #: server's clamp (``server.MAX_WATCH_S``) order of magnitude while
@@ -50,27 +42,18 @@ WATCH_SLICE_S = 10.0
 
 
 class ServiceClient:
-    """Thin, retrying client for one service endpoint.
-
-    ``jitter_seed`` makes every timing decision this client takes
-    (retry jitter, poll backoff jitter) a deterministic function of the
-    seed — see the module docs.
-    """
+    """Thin, retrying client for one service endpoint."""
 
     def __init__(self, base_url: str = "http://127.0.0.1:8321",
                  retries: int = 8, backoff_s: float = 0.1,
                  backoff_cap_s: float = 5.0,
-                 jitter_seed: int = 0,
                  timeout_s: float = 10.0) -> None:
         self.base_url = base_url.rstrip("/")
         self.retries = retries
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
         self.timeout_s = timeout_s
-        self._rng = random.Random(jitter_seed)
-        #: None until probed; False once the server 404s the watch
-        #: route (pre-watch server) — then ``wait`` polls instead.
-        self._watch_supported: Optional[bool] = None
+        self._rng = random.Random(0)
 
     # -- transport -----------------------------------------------------
 
@@ -165,36 +148,17 @@ class ServiceClient:
             timeout_s=timeout_s + self.timeout_s)
         return doc.get("jobs", {})
 
-    def _finish(self, job_id: str,
-                doc: Dict[str, Any]) -> Dict[str, Any]:
-        if doc["status"] == "failed":
-            failure = doc.get("failure", {})
-            raise JobFailedError(
-                f"job {job_id[:16]} failed "
-                f"({failure.get('kind', 'error')}): "
-                f"{failure.get('message', '')}")
-        return doc
-
-    def wait(self, job_id: str, timeout_s: float = 120.0,
-             poll_s: float = 0.2,
-             poll_cap_s: float = 2.0) -> Dict[str, Any]:
-        """Block until the job reaches ``done`` or ``failed``.
-
-        Prefers the server's long-poll watch endpoint (no client-side
-        sleeping at all); against a pre-watch server it falls back to
-        polling ``GET /jobs/<id>`` with capped exponential backoff —
-        ``poll_s`` doubling up to ``poll_cap_s``, jittered by the seeded
-        RNG, never below the server's ``retry_after_s`` hint when one is
-        present — instead of hammering at a fixed interval.
+    def wait(self, job_id: str,
+             timeout_s: float = 120.0) -> Dict[str, Any]:
+        """Block until the job reaches ``done`` or ``failed``, one
+        ``watch`` long-poll after another.
 
         Raises ``JobFailedError`` on failure and ``TimeoutError`` if the
         deadline passes first.  Waiting survives a service restart
-        mid-job: connection errors inside ``_request`` retry, the
-        replayed job keeps its id, and the watch probe is re-evaluated
-        per call.
+        mid-job: connection errors inside ``_request`` retry, and the
+        replayed job keeps its id.
         """
         deadline = time.monotonic() + timeout_s  # repro: allow-wall-clock
-        delay = max(poll_s, 1e-3)
         while True:
             remaining = deadline \
                 - time.monotonic()  # repro: allow-wall-clock
@@ -202,33 +166,18 @@ class ServiceClient:
                 raise TimeoutError(
                     f"job {job_id[:16]} still pending after "
                     f"{timeout_s}s")
-            if self._watch_supported is not False:
-                try:
-                    done = self.watch(
-                        [job_id],
-                        timeout_s=min(WATCH_SLICE_S, remaining))
-                except JobNotFoundError:
-                    if self._watch_supported is None:
-                        # pre-watch server: GET /jobs has no route and
-                        # 404s — remember and fall back to polling
-                        self._watch_supported = False
-                        continue
-                    raise
-                self._watch_supported = True
-                if job_id in done:
-                    return self._finish(job_id, done[job_id])
-                continue  # the server did the waiting; go straight back
-            doc = self.job(job_id)
-            if doc["status"] in ("done", "failed"):
-                return self._finish(job_id, doc)
-            # capped exponential backoff with deterministic jitter,
-            # floored at the server's own backpressure hint
-            sleep_s = delay * (0.5 + 0.5 * self._rng.random())
-            hint = doc.get("retry_after_s")
-            if hint is not None:
-                sleep_s = max(sleep_s, float(hint))
-            time.sleep(min(sleep_s, poll_cap_s, max(remaining, 1e-3)))
-            delay = min(delay * 2, poll_cap_s)
+            done = self.watch([job_id],
+                              timeout_s=min(WATCH_SLICE_S, remaining))
+            doc = done.get(job_id)
+            if doc is None:
+                continue  # the window elapsed with the job pending
+            if doc["status"] == "failed":
+                failure = doc.get("failure", {})
+                raise JobFailedError(
+                    f"job {job_id[:16]} failed "
+                    f"({failure.get('kind', 'error')}): "
+                    f"{failure.get('message', '')}")
+            return doc
 
     def run(self, spec: JobSpec,
             timeout_s: float = 120.0) -> SimResult:

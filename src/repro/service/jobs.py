@@ -20,7 +20,6 @@ from typing import Any, Dict, Optional, Tuple
 from repro.common.errors import BadRequestError, ConfigError
 from repro.common.params import ChaosConfig, SystemConfig
 from repro.isa.trace import Workload
-from repro.service.queue import DEFAULT_TENANT
 from repro.sim.executor import cache_key
 from repro.sim.runner import scheme_grid
 from repro.workloads import (PARALLEL_NAMES, SPEC17_NAMES,
@@ -106,19 +105,12 @@ class JobSpec:
     sanitize: bool = False
     chaos: Optional[Dict[str, Any]] = None
     priority: int = PRIORITY_DEFAULT
-    #: Accounting/fair-share identity only — deliberately *not* part of
-    #: ``job_id()`` (which hashes the resolved experiment), so two
-    #: tenants submitting the same cell share one job and one cached
-    #: result.
-    tenant: str = DEFAULT_TENANT
 
     def validate(self) -> None:
         if not isinstance(self.workload, str) or not self.workload:
             raise BadRequestError("workload must be a non-empty string")
         if not isinstance(self.scheme, str) or not self.scheme:
             raise BadRequestError("scheme must be a non-empty string")
-        if not isinstance(self.tenant, str) or not self.tenant:
-            raise BadRequestError("tenant must be a non-empty string")
         for name in ("instructions", "threads", "priority"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool):
@@ -138,8 +130,6 @@ class JobSpec:
         doc = dataclasses.asdict(self)
         if doc["chaos"] is None:
             del doc["chaos"]
-        if doc["tenant"] == DEFAULT_TENANT:
-            del doc["tenant"]  # wire/journal compatible with pre-tenant
         return doc
 
     @classmethod

@@ -1,26 +1,17 @@
-"""Bounded admission queue: priorities, fair-share tenants, backpressure.
+"""Bounded admission queue: priorities, backpressure, graceful refusal.
 
 The queue is the service's only growth point, so it is the one place
 where load sheds: past ``capacity`` pending jobs, ``push`` raises
 ``QueueFullError`` with a ``retry_after_s`` hint instead of queueing —
 an explicit, structured rejection the client can honor, rather than an
-unbounded backlog that turns into an OOM three hours later.  An
-optional per-tenant quota (``tenant_capacity``) sheds the same way but
-earlier and per tenant (``QuotaExceededError``), so one tenant's burst
-cannot crowd the whole queue.
+unbounded backlog that turns into an OOM three hours later.
 
-Ordering is ``(priority, tenant fair-share, seq)``: lower priority
-values run first (interactive ``repro submit`` requests use
-``PRIORITY_INTERACTIVE=0`` and overtake bulk campaign cells at
-``PRIORITY_BULK=10``); among equal-priority heads of *different*
-tenants, the least-recently-served tenant goes first (round-robin
-fair share — two sweeping tenants interleave instead of queue-order
-starving one); within one tenant it is FIFO by submission ``seq``, so
-equal-priority jobs can never starve each other.  With a single tenant
-the fair-share term is constant and the order degenerates to exactly
-the old ``(priority, seq)`` contract.  A job id can only be queued once
-(``push`` of a queued id is a no-op returning ``False``), whatever
-tenant resubmits it, which keeps idempotent resubmission cheap.
+Ordering is ``(priority, seq)``: lower priority values run first
+(interactive ``repro submit`` requests use ``PRIORITY_INTERACTIVE=0``
+and overtake bulk campaign cells at ``PRIORITY_BULK=10``), and FIFO
+within a priority class, so equal-priority jobs can never starve each
+other.  A job id can only be queued once (``push`` of a queued id is a
+no-op returning ``False``), which keeps idempotent resubmission cheap.
 
 The retry-after hint is backpressure-proportional: the caller supplies
 an estimate of seconds-per-job drain rate (the supervisor feeds it a
@@ -32,60 +23,37 @@ from __future__ import annotations
 
 import heapq
 import threading
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, List, Optional, Set, Tuple
 
-from repro.common.errors import QueueFullError, QuotaExceededError
+from repro.common.errors import QueueFullError
 
 #: Fallback seconds-per-job guess before any job has completed.
 DEFAULT_JOB_SECONDS = 2.0
-
-#: Tenant name used when submitters don't identify themselves.
-DEFAULT_TENANT = "default"
 
 
 class AdmissionQueue:
     """Thread-safe bounded priority queue of job ids (see module docs)."""
 
     def __init__(self, capacity: int = 64,
-                 job_seconds: Optional[Callable[[], float]] = None,
-                 tenant_capacity: Optional[int] = None) -> None:
+                 job_seconds: Optional[Callable[[], float]] = None
+                 ) -> None:
         if capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if tenant_capacity is not None and tenant_capacity < 1:
-            raise ValueError("tenant_capacity must be >= 1")
         self.capacity = capacity
-        self.tenant_capacity = tenant_capacity
         self._job_seconds = job_seconds
-        # one FIFO-within-priority heap per tenant; insertion order of
-        # the dict is submission order, which keeps iteration (and so
-        # pop tie-breaking) deterministic
-        self._heaps: Dict[str, List[Tuple[int, int, str]]] = {}
-        self._queued: Dict[str, str] = {}  # job_id -> tenant
-        self._served: Dict[str, int] = {}  # tenant -> last-pop tick
+        self._heap: List[Tuple[int, int, str]] = []
+        self._queued: Set[str] = set()
         self._seq = 0
-        self._tick = 0
-        self._size = 0
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
 
     def __len__(self) -> int:
         with self._lock:
-            return self._size
+            return len(self._heap)
 
     def __contains__(self, job_id: str) -> bool:
         with self._lock:
             return job_id in self._queued
-
-    def depth(self, tenant: str = DEFAULT_TENANT) -> int:
-        """Pending jobs queued by one tenant."""
-        with self._lock:
-            return len(self._heaps.get(tenant, ()))
-
-    def tenants(self) -> Dict[str, int]:
-        """Per-tenant pending depth (only tenants with backlog)."""
-        with self._lock:
-            return {tenant: len(heap)
-                    for tenant, heap in self._heaps.items() if heap}
 
     def retry_after_s(self, backlog: Optional[int] = None) -> float:
         """Estimated seconds until a queue slot frees up."""
@@ -93,81 +61,49 @@ class AdmissionQueue:
             else max(self._job_seconds(), 0.05)
         if backlog is None:
             with self._lock:
-                backlog = self._size
+                backlog = len(self._heap)
         return round(max(1, backlog) * per_job, 3)
 
-    def push(self, job_id: str, priority: int,
-             tenant: str = DEFAULT_TENANT) -> bool:
-        """Admit ``job_id`` at ``priority`` for ``tenant``; ``False`` if
-        already queued (by any tenant — job ids are content-addressed,
-        so the job is the same job whoever resubmits it).
+    def push(self, job_id: str, priority: int) -> bool:
+        """Admit ``job_id`` at ``priority``; ``False`` if already queued.
 
-        Raises ``QueueFullError`` when the queue is at global capacity
-        and ``QuotaExceededError`` when this tenant's slice is full —
-        the caller translates either into an HTTP 429 plus
-        ``Retry-After`` header.
+        Raises ``QueueFullError`` (with the retry-after hint) when the
+        queue is at capacity — the caller translates that into an HTTP
+        429 plus ``Retry-After`` header.
         """
         with self._lock:
             if job_id in self._queued:
                 return False
-            if self._size >= self.capacity:
+            if len(self._heap) >= self.capacity:
                 raise QueueFullError(
                     f"admission queue at capacity "
-                    f"({self._size}/{self.capacity})",
-                    retry_after_s=self.retry_after_s(self._size))
-            heap = self._heaps.setdefault(tenant, [])
-            if self.tenant_capacity is not None \
-                    and len(heap) >= self.tenant_capacity:
-                raise QuotaExceededError(
-                    f"tenant {tenant!r} is at its quota "
-                    f"({len(heap)}/{self.tenant_capacity} pending)",
-                    retry_after_s=self.retry_after_s(len(heap)))
+                    f"({len(self._heap)}/{self.capacity})",
+                    retry_after_s=self.retry_after_s(len(self._heap)))
             self._seq += 1
-            heapq.heappush(heap, (priority, self._seq, job_id))
-            self._queued[job_id] = tenant
-            self._size += 1
+            heapq.heappush(self._heap, (priority, self._seq, job_id))
+            self._queued.add(job_id)
             self._not_empty.notify()
             return True
 
-    def _pop_locked(self) -> Optional[str]:
-        """Fair-share pop (lock held): among tenant heap heads, take the
-        lowest ``(priority, last-served tick, seq)``."""
-        best: Optional[Tuple[Tuple[int, int, int], str]] = None
-        for tenant, heap in self._heaps.items():
-            if not heap:
-                continue
-            priority, seq, _job_id = heap[0]
-            rank = (priority, self._served.get(tenant, 0), seq)
-            if best is None or rank < best[0]:
-                best = (rank, tenant)
-        if best is None:
-            return None
-        tenant = best[1]
-        _priority, _seq, job_id = heapq.heappop(self._heaps[tenant])
-        self._tick += 1
-        self._served[tenant] = self._tick
-        del self._queued[job_id]
-        self._size -= 1
+    def _pop_locked(self) -> str:
+        _priority, _seq, job_id = heapq.heappop(self._heap)
+        self._queued.discard(job_id)
         return job_id
 
     def pop(self, timeout_s: Optional[float] = None) -> Optional[str]:
-        """Highest-priority job id (fair-shared across tenants),
-        blocking up to ``timeout_s``; ``None`` on timeout (or
-        immediately when ``timeout_s=0``)."""
+        """Highest-priority job id, blocking up to ``timeout_s``;
+        ``None`` on timeout (or immediately when ``timeout_s=0``)."""
         with self._not_empty:
-            if not self._size and timeout_s != 0:
+            if not self._heap and timeout_s != 0:
                 self._not_empty.wait(timeout_s)
-            return self._pop_locked()
+            return self._pop_locked() if self._heap else None
 
     def pop_batch(self, limit: int) -> List[str]:
-        """Up to ``limit`` job ids, non-blocking, fair-share order."""
+        """Up to ``limit`` job ids, non-blocking, priority order."""
         batch: List[str] = []
         with self._lock:
-            while self._size and len(batch) < limit:
-                job_id = self._pop_locked()
-                if job_id is None:  # pragma: no cover - size guards this
-                    break
-                batch.append(job_id)
+            while self._heap and len(batch) < limit:
+                batch.append(self._pop_locked())
         return batch
 
     def wake_all(self) -> None:
@@ -176,10 +112,7 @@ class AdmissionQueue:
             self._not_empty.notify_all()
 
     def snapshot(self) -> List[Tuple[int, str]]:
-        """(priority, job_id) pairs in (priority, submission) order,
-        for ``/stats``."""
+        """(priority, job_id) pairs in drain order, for ``/stats``."""
         with self._lock:
-            entries = [entry for heap in self._heaps.values()
-                       for entry in heap]
-        return [(priority, job_id)
-                for priority, _seq, job_id in sorted(entries)]
+            return [(priority, job_id) for priority, _seq, job_id
+                    in sorted(self._heap)]

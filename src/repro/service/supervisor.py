@@ -44,8 +44,7 @@ from repro.common.errors import (DrainingError, JobNotFoundError,
                                  RejectingError)
 from repro.service.jobs import JobSpec
 from repro.service.journal import Journal, reduce_records
-from repro.service.queue import (DEFAULT_JOB_SECONDS, DEFAULT_TENANT,
-                                 AdmissionQueue)
+from repro.service.queue import DEFAULT_JOB_SECONDS, AdmissionQueue
 from repro.sim.executor import Executor, Task
 from repro.sim.runner import ExperimentCache
 
@@ -74,9 +73,7 @@ class Supervisor:
                  degrade_after: int = 3,
                  recover_after: int = 3,
                  probe_after_s: float = 10.0,
-                 fsync: bool = True,
-                 tenant_capacity: Optional[int] = None,
-                 peers: Optional[List[str]] = None) -> None:
+                 fsync: bool = True) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         self.root = os.fspath(root)
@@ -100,14 +97,7 @@ class Supervisor:
         os.makedirs(self.checkpoint_dir, exist_ok=True)
         self.drain_flag = os.path.join(self.root, "drain.flag")
         self.queue = AdmissionQueue(queue_capacity,
-                                    job_seconds=self._avg_job_seconds,
-                                    tenant_capacity=tenant_capacity)
-        self.peers = list(peers or [])
-        if self.peers and self.cache.store is not None:
-            # store federation: a local miss read-throughs the peer
-            # shards' /store endpoints and fills locally (flock'd)
-            from repro.service.fabric.store import peer_fetcher
-            self.cache.store.peer_fetch = peer_fetcher(self.peers)
+                                    job_seconds=self._avg_job_seconds)
 
         self._lock = threading.RLock()
         #: Signaled (under ``_lock``) on every job state transition;
@@ -168,8 +158,7 @@ class Supervisor:
                     entry["failure"] = {"kind": "error",
                                         "message": "spec lost"}
                     continue
-                self.queue.push(job_id, entry.get("priority", 0),
-                                tenant=self._tenant_of(job_id))
+                self.queue.push(job_id, entry.get("priority", 0))
                 replayed += 1
         if replayed:
             _log.info("journal replay: %d unfinished job(s) re-queued",
@@ -219,10 +208,6 @@ class Supervisor:
     def level(self) -> str:
         return DEGRADATION_LADDER[self._level_index]
 
-    def _tenant_of(self, job_id: str) -> str:
-        spec = self._specs.get(job_id)
-        return spec.tenant if spec is not None else DEFAULT_TENANT
-
     # ------------------------------------------------------------------
     # Submission / status (called from HTTP handler threads)
     # ------------------------------------------------------------------
@@ -271,8 +256,7 @@ class Supervisor:
                 self._state[job_id] = entry
                 self._changed.notify_all()
                 return self._status_doc(job_id, entry)
-            admitted = self.queue.push(job_id, spec.priority,
-                                       tenant=spec.tenant)
+            admitted = self.queue.push(job_id, spec.priority)
             if admitted:
                 self.counters["submitted"] += 1
                 entry = {"status": "queued", "spec": spec.to_doc(),
@@ -303,22 +287,14 @@ class Supervisor:
         result = store.get(job_id) if store is not None else None
         return result.to_dict() if result is not None else None
 
-    def store_payload(self, key: str) -> Optional[Dict[str, Any]]:
-        """Raw local store payload for ``key`` (what ``GET /store/<key>``
-        serves to peer shards).  Local-only by contract — never falls
-        through to peers, so cross-shard fetch chains always terminate."""
-        store = self.cache.store
-        return store.payload(key) if store is not None else None
-
     def wait_for(self, job_ids: List[str],
                  timeout_s: float = 30.0) -> Dict[str, Dict[str, Any]]:
         """Long-poll primitive behind ``GET /jobs?watch=``: block until
         at least one of ``job_ids`` is terminal (``done``/``failed``),
         then return every terminal one's status doc; ``{}`` when
         ``timeout_s`` elapses first.  Raises ``JobNotFoundError`` for an
-        id that was never submitted here (the watcher is confused or the
-        ring routed it to a different shard — either way, tell it now
-        rather than stalling it for the full timeout)."""
+        id that was never submitted here (tell the watcher now rather
+        than stalling it for the full timeout)."""
         timeout_s = max(timeout_s, 0.0)
         deadline = time.monotonic() + timeout_s  # repro: allow-wall-clock
         with self._changed:
@@ -348,8 +324,8 @@ class Supervisor:
         if entry.get("resume"):
             doc["resume"] = True
         if entry["status"] == "queued":
-            # poll-backoff hint: clients scale their next poll to the
-            # backlog instead of hammering at a fixed interval
+            # backlog hint for HTTP clients that poll ``GET /jobs/<id>``
+            # rather than watch: scale the next poll to the queue
             doc["retry_after_s"] = self.queue.retry_after_s()
         if "cycles" in entry:
             doc["cycles"] = entry["cycles"]
@@ -366,16 +342,12 @@ class Supervisor:
                 entry["status"] for entry in self._state.values())
             inflight = sorted(self._inflight)
             counters = dict(self.counters)
-        store = self.cache.store
         return {
             "level": self.level,
             "draining": self.draining,
             "jobs_by_status": dict(by_status),
             "queue_depth": len(self.queue),
             "queue_capacity": self.queue.capacity,
-            "queue_tenants": self.queue.tenants(),
-            "peers": list(self.peers),
-            "peer_fills": store.peer_fills if store is not None else 0,
             "inflight": [job[:16] for job in inflight],
             "avg_job_seconds": round(self._avg_job_seconds(), 3),
             "uptime_s": round(
@@ -473,8 +445,7 @@ class Supervisor:
                     entry["checkpoint_cycle"] = cycle
                     self.counters["requeued"] += 1
                     if not self._draining.is_set():
-                        self.queue.push(job_id, entry.get("priority", 0),
-                                        tenant=self._tenant_of(job_id))
+                        self.queue.push(job_id, entry.get("priority", 0))
                 else:
                     failure = next(f for f in outcome.failures
                                    if f.label == job_id)

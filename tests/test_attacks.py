@@ -234,9 +234,9 @@ class TestServiceCellNames:
 
 
 class TestServiceRoutedCampaign:
-    """Satellite: oracle cells routed through a live ``repro serve``
-    shard are content-addressed — the same campaign resubmitted hits
-    the supervisor's idempotency path instead of re-simulating."""
+    """Oracle cells routed through a live ``repro serve`` are
+    content-addressed — the same campaign resubmitted hits the
+    supervisor's idempotency path instead of re-simulating."""
 
     @pytest.fixture()
     def service(self, tmp_path):

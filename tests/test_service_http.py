@@ -2,6 +2,9 @@
 backpressure, against an in-process ``ServiceServer`` on an ephemeral
 port."""
 
+import http.client
+import json
+import socket
 import threading
 
 import pytest
@@ -16,6 +19,42 @@ from repro.service.supervisor import Supervisor
 
 SPEC = JobSpec(workload="mcf_r", scheme="unsafe", instructions=300,
                threads=1)
+
+
+@pytest.fixture()
+def idle_url(tmp_path):
+    """URL of a live server whose worker never starts: jobs stay
+    queued."""
+    supervisor = Supervisor(str(tmp_path / "idle"), jobs=1, fsync=False)
+    server = ServiceServer(("127.0.0.1", 0), supervisor)
+    thread = threading.Thread(target=server.serve_forever,
+                              kwargs={"poll_interval": 0.05},
+                              daemon=True)
+    thread.start()
+    try:
+        yield f"http://127.0.0.1:{server.server_address[1]}"
+    finally:
+        server.shutdown()
+        server.server_close()
+        supervisor.close()
+
+
+def raw_request(url, method, path, headers=()):
+    """Send one hand-built request and return ``(status, body doc)``.
+
+    The 1 s socket timeout is the test's answer deadline: a server that
+    blocks or spins on the request fails with ``TimeoutError``."""
+    host, port = url[len("http://"):].split(":")
+    conn = http.client.HTTPConnection(host, int(port), timeout=1.0)
+    try:
+        conn.putrequest(method, path)
+        for name, value in headers:
+            conn.putheader(name, value)
+        conn.endheaders()
+        response = conn.getresponse()
+        return response.status, json.loads(response.read())
+    finally:
+        conn.close()
 
 
 @pytest.fixture()
@@ -78,7 +117,6 @@ def test_error_taxonomy_crosses_the_wire(service):
 
 def test_unknown_spec_field_rejected(service):
     _supervisor, client = service
-    import json
     import urllib.request
     request = urllib.request.Request(
         client.base_url + "/jobs",
@@ -141,11 +179,45 @@ def test_client_backoff_honors_retry_after():
     assert client._delay(0, None) <= 0.1
     assert client._delay(0, 2.5) >= 2.5  # server hint is a floor
     assert client._delay(20, None) <= 5.0  # cap beats exponent
-    # deterministic jitter: same seed, same schedule
-    a = ServiceClient("http://x", jitter_seed=7)
-    b = ServiceClient("http://x", jitter_seed=7)
+    # deterministic jitter: every client replays the same schedule
+    a = ServiceClient("http://x")
+    b = ServiceClient("http://x")
     assert [a._delay(i, None) for i in range(5)] \
         == [b._delay(i, None) for i in range(5)]
+
+
+def test_watch_nan_timeout_is_400(idle_url):
+    job_id = ServiceClient(idle_url, retries=0).submit(SPEC)["job"]
+    status, doc = raw_request(
+        idle_url, "GET", f"/jobs?watch={job_id}&timeout_s=nan")
+    assert status == 400
+    assert doc["error"]["code"] == "invalid-request"
+
+
+@pytest.mark.parametrize("length", ["-1", "abc"])
+def test_malformed_content_length_is_400(idle_url, length):
+    status, doc = raw_request(idle_url, "POST", "/jobs",
+                              [("Content-Length", length)])
+    assert status == 400
+    assert doc["error"]["code"] == "invalid-request"
+
+
+def test_unread_body_is_never_parsed_as_a_request(idle_url):
+    """A 400 that leaves the body unread also closes the connection, so
+    the body's bytes can never run as a second request."""
+    host, port = idle_url[len("http://"):].split(":")
+    smuggled = b"POST /drain HTTP/1.1\r\nContent-Length: 2\r\n\r\n{}"
+    with socket.create_connection((host, int(port)), timeout=1.0) as sock:
+        sock.sendall(b"POST /jobs HTTP/1.1\r\nContent-Length: abc\r\n\r\n"
+                     + smuggled)
+        reply = b""
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            reply += chunk
+    assert reply.startswith(b"HTTP/1.1 400 ")
+    assert reply.count(b"HTTP/1.1 ") == 1
 
 
 def test_wire_error_doc_roundtrip():

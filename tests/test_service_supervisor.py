@@ -3,14 +3,17 @@ degradation ladder, and drain semantics — all in-process (the
 subprocess kill/restart campaign lives in ``test_service_crash.py``).
 """
 
+import threading
 import time
 
 import pytest
 
 from repro.common.errors import (BadRequestError, DrainingError,
                                  JobNotFoundError, RejectingError)
+from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec
 from repro.service.journal import Journal
+from repro.service.server import ServiceServer
 from repro.service.supervisor import DEGRADATION_LADDER, Supervisor
 
 SPEC = JobSpec(workload="mcf_r", scheme="unsafe", instructions=300,
@@ -182,6 +185,46 @@ def test_degradation_ladder_walks_down_and_back(tmp_path):
         supervisor._note_success()
         assert supervisor.level == "reduced"
     finally:
+        supervisor.close()
+
+
+def test_reject_probe_and_jobs_climb_ladder_to_full(tmp_path):
+    """At ``reject`` nothing runs, so only the probe timer can lift the
+    service: after ``probe_after_s`` it steps up to ``serial``, and jobs
+    served through the live HTTP front end (``recover_after=1``) climb
+    the rest of the way to ``full`` with no restart."""
+    supervisor = make_supervisor(tmp_path, degrade_after=1,
+                                 recover_after=1, probe_after_s=1.0)
+    server = ServiceServer(("127.0.0.1", 0), supervisor)
+    threading.Thread(target=server.serve_forever,
+                     kwargs={"poll_interval": 0.05}, daemon=True).start()
+    supervisor.start()
+    url = f"http://127.0.0.1:{server.server_address[1]}"
+    try:
+        # walk the ladder to the bottom, one failure per rung
+        with supervisor._lock:
+            for _ in range(3):
+                supervisor._note_failure("timeout")
+        assert supervisor.level == "reject"
+        with pytest.raises(RejectingError):
+            ServiceClient(url, retries=0).submit(
+                JobSpec(workload="mcf_r", instructions=200, threads=1))
+
+        deadline = time.monotonic() + 10.0
+        while supervisor.level == "reject":
+            assert time.monotonic() < deadline, "recovery probe never fired"
+            time.sleep(0.02)
+        client = ServiceClient(url)
+        for instructions in (210, 220, 230):
+            spec = JobSpec(workload="mcf_r", instructions=instructions,
+                           threads=1)
+            assert client.run(spec, timeout_s=60.0).cycles > 0
+        assert supervisor.level == "full"
+        assert supervisor.counters["recoveries"] >= 3
+    finally:
+        server.shutdown()
+        server.server_close()
+        supervisor.drain(wait=True, timeout_s=10.0)
         supervisor.close()
 
 

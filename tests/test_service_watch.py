@@ -1,14 +1,11 @@
 """The streaming results feed (long-poll ``GET /jobs?watch=``), the
-client's watch-first ``wait`` with capped-exponential poll fallback,
-and per-tenant quotas crossing the HTTP boundary."""
+client's ``wait`` built on it, and the backlog hint on queued jobs."""
 
 import threading
 
 import pytest
 
-from repro.common.errors import (BadRequestError, JobNotFoundError,
-                                 QuotaExceededError)
-from repro.service import client as client_mod
+from repro.common.errors import BadRequestError, JobNotFoundError
 from repro.service.client import ServiceClient
 from repro.service.jobs import JobSpec
 from repro.service.server import ServiceServer
@@ -49,8 +46,7 @@ def service(tmp_path):
 def idle_service(tmp_path):
     """A service whose worker is *not* running: jobs stay queued, which
     pins down pending/timeout behavior deterministically."""
-    supervisor = Supervisor(str(tmp_path / "idle"), jobs=1, fsync=False,
-                            tenant_capacity=1)
+    supervisor = Supervisor(str(tmp_path / "idle"), jobs=1, fsync=False)
     server, url = start_server(supervisor)
     client = ServiceClient(url, retries=0, timeout_s=10.0)
     try:
@@ -59,22 +55,6 @@ def idle_service(tmp_path):
         server.shutdown()
         server.server_close()
         supervisor.close()
-
-
-class FakeClock:
-    """Stands in for the ``time`` module inside the client: sleeps
-    advance virtual time instantly and are recorded."""
-
-    def __init__(self):
-        self.now = 0.0
-        self.sleeps = []
-
-    def monotonic(self):
-        return self.now
-
-    def sleep(self, seconds):
-        self.sleeps.append(seconds)
-        self.now += seconds
 
 
 class TestWatchEndpoint:
@@ -86,11 +66,16 @@ class TestWatchEndpoint:
         assert done[job_id]["status"] == "done"
         assert done[job_id]["result"]["cycles"] > 0
 
-    def test_wait_prefers_watch_and_never_polls(self, service):
+    def test_wait_prefers_watch_and_never_polls(self, service,
+                                                monkeypatch):
         _supervisor, client = service
+
+        def no_polling(job_id):
+            raise AssertionError(f"wait polled GET /jobs/{job_id[:16]}")
+
+        monkeypatch.setattr(client, "job", no_polling)
         result = client.run(SPEC, timeout_s=60.0)
         assert result.cycles > 0
-        assert client._watch_supported is True
 
     def test_watch_timeout_reports_pending(self, idle_service):
         _supervisor, client = idle_service
@@ -113,91 +98,6 @@ class TestWatchEndpoint:
         with pytest.raises(BadRequestError):
             client._request_once(
                 "GET", "/jobs?watch=abc&timeout_s=soon", None)
-
-    def test_fallback_when_server_predates_watch(self, service,
-                                                 monkeypatch):
-        """A 404 on the watch route flips the client to polling — the
-        compatibility path against pre-watch servers."""
-        _supervisor, client = service
-
-        def no_route(job_ids, timeout_s=0.0):
-            raise JobNotFoundError("no route for GET /jobs")
-
-        monkeypatch.setattr(client, "watch", no_route)
-        result = client.run(SPEC, timeout_s=60.0)
-        assert result.cycles > 0
-        assert client._watch_supported is False
-
-
-class TestPollBackoff:
-    def wait_against_stub(self, status_docs, **wait_kwargs):
-        """Drive ``wait`` (polling path) against a canned status doc
-        and a fake clock; returns the recorded sleep schedule."""
-        client = ServiceClient("http://127.0.0.1:1", jitter_seed=7)
-        client._watch_supported = False
-        client.job = lambda job_id: dict(status_docs)
-        clock = FakeClock()
-        original_time = client_mod.time
-        client_mod.time = clock
-        try:
-            with pytest.raises(TimeoutError):
-                client.wait("f" * 64, **wait_kwargs)
-        finally:
-            client_mod.time = original_time
-        return clock.sleeps
-
-    def test_backoff_doubles_up_to_cap(self):
-        sleeps = self.wait_against_stub(
-            {"status": "queued"}, timeout_s=30.0, poll_s=0.2,
-            poll_cap_s=2.0)
-        assert sleeps, "polling must sleep between requests"
-        # jitter is in [0.5, 1.0) of the current delay: every sleep
-        # sits inside the geometric envelope and under the cap
-        assert all(sleep <= 2.0 for sleep in sleeps)
-        assert sleeps[0] <= 0.2
-        assert max(sleeps) > 4 * sleeps[0]  # it actually backed off
-        # nothing hammers: total request count is logarithmic-ish, not
-        # timeout/poll_s (which would be 150 at the old fixed interval)
-        assert len(sleeps) < 40
-
-    def test_retry_after_hint_is_honored(self):
-        sleeps = self.wait_against_stub(
-            {"status": "queued", "retry_after_s": 0.7}, timeout_s=10.0,
-            poll_s=0.01, poll_cap_s=5.0)
-        assert sleeps
-        assert all(sleep >= 0.7 for sleep in sleeps)
-
-    def test_seeded_schedule_is_reproducible(self):
-        first = self.wait_against_stub(
-            {"status": "queued"}, timeout_s=20.0, poll_s=0.1,
-            poll_cap_s=1.0)
-        second = self.wait_against_stub(
-            {"status": "queued"}, timeout_s=20.0, poll_s=0.1,
-            poll_cap_s=1.0)
-        assert first == second  # same jitter_seed -> same timing
-
-
-class TestTenantQuotas:
-    def test_quota_crosses_the_wire(self, idle_service):
-        """tenant_capacity=1: a tenant's second distinct pending job is
-        refused with the documented 429 ``quota-exceeded``; another
-        tenant still gets in; resubmission of the queued job dedups
-        instead of double-counting against the quota."""
-        _supervisor, client = idle_service
-        first = JobSpec(workload="mcf_r", instructions=301, threads=1,
-                        tenant="alice")
-        second = JobSpec(workload="mcf_r", instructions=302, threads=1,
-                         tenant="alice")
-        third = JobSpec(workload="mcf_r", instructions=303, threads=1,
-                        tenant="bob")
-        assert client.submit(first)["status"] == "queued"
-        with pytest.raises(QuotaExceededError) as refused:
-            client.submit(second)
-        assert refused.value.code == "quota-exceeded"
-        assert refused.value.retry_after_s is not None
-        assert client.submit(third)["status"] == "queued"
-        # idempotent resubmission of a queued job is not a quota event
-        assert client.submit(first)["status"] == "queued"
 
     def test_queued_status_carries_backpressure_hint(self, idle_service):
         _supervisor, client = idle_service
