@@ -8,8 +8,6 @@ arrival, collapsing LP to one outstanding pinned load at a time.  This
 ablation quantifies that refinement.
 """
 
-import pytest
-
 from harness import SPEC_SWEEP_APPS, pinned_result, unsafe_run, write_result
 from repro.analysis.tables import format_stat_table
 from repro.common.params import DefenseKind, PinningMode

@@ -8,10 +8,7 @@ earlier and overlap them, so pinning recovers most of the double-access
 cost under the Comprehensive model.
 """
 
-import pytest
-
-from harness import (EXTENSIONS, grid_normalized_cpis, run, base_config,
-                     suite_apps, unsafe_run, write_result)
+from harness import run, base_config, suite_apps, unsafe_run, write_result
 from repro.analysis.tables import format_normalized_cpi_table
 from repro.common.params import DefenseKind, PinningMode, ThreatModel
 from repro.common.stats import geomean

@@ -6,8 +6,6 @@ attribute the execution overhead per squash source.  The paper's finding —
 that waiting out potential MCVs dominates — is asserted.
 """
 
-import pytest
-
 from harness import level_cycles, suite_apps, write_result
 from repro.analysis.breakdown import geomean_stack
 from repro.analysis.tables import format_breakdown_table

@@ -6,8 +6,6 @@ and EP overheads from the Figure 7/8 grids — all runs shared through the
 process-wide cache.
 """
 
-import pytest
-
 from harness import (SCHEMES, grid_normalized_cpis, level_cycles,
                      suite_apps, write_result)
 from repro.analysis.breakdown import geomean_stack

@@ -7,10 +7,7 @@ instructions.  We measure the same counters across the parallel suite
 under EP and compare total message counts against the unextended scheme.
 """
 
-import pytest
-
-from harness import (PARALLEL_INSNS, PARALLEL_THREADS, base_config,
-                     par_workload, run, suite_apps, write_result)
+from harness import base_config, run, suite_apps, write_result
 from repro.analysis.tables import format_stat_table
 from repro.common.params import DefenseKind, PinningMode, ThreatModel
 

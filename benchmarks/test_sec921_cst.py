@@ -5,8 +5,6 @@ Measures (a) false-positive denial rates of the default CST geometry and
 CST, sweeping CST sizes on the representative app subset.
 """
 
-import pytest
-
 from harness import (SPEC_SWEEP_APPS, pinned_result, unsafe_run,
                      write_result)
 from repro.analysis.tables import format_stat_table

@@ -5,10 +5,7 @@ the parallel suites (paper: average ~1, max 4-7), then confirm the default
 4-entry CPT virtually never overflows.
 """
 
-import pytest
-
-from harness import (PARALLEL_SWEEP_APPS, pinned_result, suite_apps,
-                     write_result)
+from harness import pinned_result, suite_apps, write_result
 from repro.analysis.tables import format_stat_table
 from repro.common.params import DefenseKind, PinningMode
 

@@ -5,8 +5,6 @@ to 1 while keeping the CST size, and finds every scheme's EP overhead gets
 slightly worse — so W_d = 2 is the right default.
 """
 
-import pytest
-
 from harness import (SCHEMES, SPEC_SWEEP_APPS, PARALLEL_SWEEP_APPS,
                      pinned_result, unsafe_run, write_result)
 from repro.analysis.tables import format_stat_table

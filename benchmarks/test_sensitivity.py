@@ -8,8 +8,6 @@ associativity) budget bounds how many lines one set can pin.
 
 from dataclasses import replace
 
-import pytest
-
 from harness import SPEC_SWEEP_APPS, base_config, run, write_result
 from repro.analysis.tables import format_stat_table
 from repro.common.params import (CacheParams, CoreParams, DefenseKind,

@@ -42,7 +42,8 @@ class StatSet:
         return dict(self._counters)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{k}={v}" for k, v in sorted(self._counters.items()))
+        inner = ", ".join(f"{k}={v}"
+                          for k, v in sorted(self._counters.items()))
         return f"StatSet({inner})"
 
 
@@ -61,7 +62,8 @@ def overhead_pct(normalized_cpi: float) -> float:
     return (normalized_cpi - 1.0) * 100.0
 
 
-def normalized(cycles: Mapping[str, float], baseline_key: str) -> Dict[str, float]:
+def normalized(cycles: Mapping[str, float],
+               baseline_key: str) -> Dict[str, float]:
     """Normalize a dict of cycle counts to one baseline entry."""
     base = cycles[baseline_key]
     if base <= 0:

@@ -234,14 +234,7 @@ def attack_cell(attack: str, secret: int, seed: int,
     """The (config, workload) cell for one attack variant under one
     scheme — the attack-side analogue of ``repro.service.jobs.build_cell``
     (which routes ``attack:...`` workload names here)."""
-    from repro.sim.runner import scheme_grid
+    from repro.sim.runner import scheme_config
     workload = attack_workload(attack, secret, seed)
     base = SystemConfig(num_cores=attack_cores(attack))
-    if scheme == "unsafe":
-        return base, workload
-    grid = scheme_grid()
-    if scheme not in grid:
-        raise ValueError(f"unknown scheme {scheme!r}; choose 'unsafe' or "
-                         f"one of {sorted(grid)}")
-    defense, threat, pin = grid[scheme]
-    return base.with_defense(defense, threat, pin), workload
+    return scheme_config(scheme, base), workload

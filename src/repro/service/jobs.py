@@ -21,7 +21,7 @@ from repro.common.errors import BadRequestError, ConfigError
 from repro.common.params import ChaosConfig, SystemConfig
 from repro.isa.trace import Workload
 from repro.sim.executor import cache_key
-from repro.sim.runner import scheme_grid
+from repro.sim.runner import scheme_config
 from repro.workloads import (PARALLEL_NAMES, SPEC17_NAMES,
                              parallel_workload, spec17_workload)
 
@@ -83,15 +83,10 @@ def build_cell(workload_name: str, instructions: int, threads: int,
     else:
         raise BadRequestError(f"unknown workload {workload_name!r}; "
                               f"see `repro workloads`")
-    if scheme == "unsafe":
-        return base, workload
-    grid = scheme_grid()
-    if scheme not in grid:
-        raise BadRequestError(
-            f"unknown scheme {scheme!r}; choose 'unsafe' or one of "
-            f"{sorted(grid)}")
-    defense, threat, pin = grid[scheme]
-    return base.with_defense(defense, threat, pin), workload
+    try:
+        return scheme_config(scheme, base), workload
+    except ValueError as err:
+        raise BadRequestError(str(err)) from err
 
 
 @dataclasses.dataclass(frozen=True)

@@ -25,7 +25,7 @@ state: per-uop status is ``ColumnState`` array columns (which pickle as
 flat buffers, not per-entry object graphs), the ROB window and the
 LQ/SQ are handle rings, and the work-lists are plain index lists.
 Run-state snapshots are both smaller and faster to take/restore than
-v3's (measured per scheme in ``BENCH_hotloop.json``).
+v3's.
 
 Two deliberate restrictions:
 
@@ -85,8 +85,9 @@ CHECKPOINT_FORMAT_VERSION = 7
 #: keep finished workloads alive.  The id-keyed table is safe because
 #: the (strongly referenced) workload pins every trace and uop for at
 #: least as long as its memo entry exists.
-_IMMUTABLE_MEMO: "weakref.WeakKeyDictionary[Workload, Tuple[bytes, Dict[int, tuple]]]" = \
-    weakref.WeakKeyDictionary()
+_IMMUTABLE_MEMO: \
+    "weakref.WeakKeyDictionary[Workload, Tuple[bytes, Dict[int, tuple]]]" \
+    = weakref.WeakKeyDictionary()
 
 
 def _immutable_part(workload: Workload) -> Tuple[bytes, Dict[int, tuple]]:

@@ -785,7 +785,8 @@ def _make_dispatch(core: Core, view: _TraceView) -> Callable[[], None]:
                         if dep_waiters is None:
                             # first waiter: the reference path allocates
                             # this list too (amortized, not per-cycle)
-                            waiters[dep] = [entry]  # repro: allow-hot-path-allocation
+                            waiters[dep] = (
+                                [entry])  # repro: allow-hot-path-allocation
                         else:
                             dep_waiters.append(entry)
                         pending += 1
@@ -798,7 +799,8 @@ def _make_dispatch(core: Core, view: _TraceView) -> Callable[[], None]:
                             and not flags[dep & mask] & FLAG_COMPLETE:
                         dep_waiters = data_waiters.get(dep)
                         if dep_waiters is None:
-                            data_waiters[dep] = [entry]  # repro: allow-hot-path-allocation
+                            data_waiters[dep] = (
+                                [entry])  # repro: allow-hot-path-allocation
                         else:
                             dep_waiters.append(entry)
                         pending_data_col[slot] += 1

@@ -141,14 +141,8 @@ class ExperimentCache:
         if self.store is not None:
             self.store.put(cache_key(config, workload), result)
 
-    def run(self, config: SystemConfig, workload: Workload,
-            key: Optional[str] = None) -> SimResult:
-        """Result for (config, workload), simulating on a miss.
-
-        ``key`` is accepted for backward compatibility but no longer
-        participates in the cache identity (it used to alias same-named
-        workloads with different content).
-        """
+    def run(self, config: SystemConfig, workload: Workload) -> SimResult:
+        """Result for (config, workload), simulating on a miss."""
         result = self.peek(config, workload)
         if result is None:
             result = run_simulation(config, workload)
@@ -181,3 +175,17 @@ def scheme_grid() -> Dict[str, Tuple[DefenseKind, ThreatModel, PinningMode]]:
         grid[f"{name}-spectre"] = (defense, ThreatModel.CTRL,
                                    PinningMode.NONE)
     return grid
+
+
+def scheme_config(label: str, base: SystemConfig) -> SystemConfig:
+    """``base`` configured for a scheme label: ``unsafe`` (``base``
+    itself) or a ``scheme_grid`` cell (``fence-ep``, ``stt-spectre``...).
+    """
+    if label == "unsafe":
+        return base
+    grid = scheme_grid()
+    if label not in grid:
+        raise ValueError(f"unknown scheme {label!r}; choose 'unsafe' or "
+                         f"one of {sorted(grid)}")
+    defense, threat, pin = grid[label]
+    return base.with_defense(defense, threat, pin)

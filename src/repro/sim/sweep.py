@@ -59,7 +59,7 @@ class Sweep:
         self.executor.run_tasks(tasks, cache=self.cache)
 
     def run_one(self, config: SystemConfig, name: str) -> SimResult:
-        return self.cache.run(config, self.workloads[name], key=name)
+        return self.cache.run(config, self.workloads[name])
 
     def unsafe(self, name: str) -> SimResult:
         config = self.base_config.with_defense(DefenseKind.UNSAFE,
@@ -71,7 +71,8 @@ class Sweep:
         return (self.run_one(config, name).cycles
                 / self.unsafe(name).cycles)
 
-    def grid(self, cells: Mapping[str, GridCell]) -> Dict[str, Dict[str, float]]:
+    def grid(self, cells: Mapping[str, GridCell],
+             ) -> Dict[str, Dict[str, float]]:
         """Normalized CPI for every (workload x grid cell)."""
         configs = [("unsafe/baseline",
                     self.base_config.with_defense(DefenseKind.UNSAFE,

@@ -139,8 +139,7 @@ class System:
         """The unoptimized run loop: full per-cycle core scan, O(cores)
         retired summation, and unguarded per-stage calls via
         ``Core.tick_reference``.  Kept as the validation oracle for the
-        engine behind ``run`` — same simulated behaviour, measurably
-        slower (``python -m repro bench`` reports the ratio)."""
+        engine behind ``run`` — same simulated behaviour, slower."""
         cycle = 0
         last_progress_cycle = 0
         last_retired = -1

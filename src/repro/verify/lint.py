@@ -37,8 +37,8 @@ type-hint defect family that seeded this PR:
   state is meant to be walked through the rings and flat columns.
 
 A finding is waived by a trailing ``# repro: allow-<rule>`` comment on
-the offending line — e.g. the benchmark driver's timing reads carry
-``# repro: allow-wall-clock``.
+the offending line — e.g. the job client's deadline reads
+(``repro.service.client``) carry ``# repro: allow-wall-clock``.
 
 Known-set inference is deliberately shallow and name-based (a lint, not a
 type checker): set displays/constructors/comprehensions, locals assigned

@@ -29,7 +29,7 @@ import ast
 from typing import List, Set
 
 from repro.verify.passes.base import (AnalysisPass, Finding, PassContext,
-                                      SourceFile, dotted)
+                                      SourceFile)
 from repro.verify.passes.callgraph import CallGraph
 
 #: attributes that *are* simulated time

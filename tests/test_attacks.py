@@ -240,7 +240,6 @@ class TestServiceRoutedCampaign:
 
     @pytest.fixture()
     def service(self, tmp_path):
-        from repro.service.client import ServiceClient
         from repro.service.server import ServiceServer
         from repro.service.supervisor import Supervisor
         supervisor = Supervisor(str(tmp_path / "service"), jobs=1,

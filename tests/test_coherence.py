@@ -2,8 +2,6 @@
 invalidation deferral (Defer/Abort), starvation control (GetX*/Inv*/Clear
 and CPT callbacks), eviction denial, and retry accounting (§9.1.3)."""
 
-import pytest
-
 from repro.common.addr import slice_of
 from repro.common.events import EventQueue
 from repro.common.params import CacheParams, SystemConfig

@@ -1,18 +1,12 @@
 """Coherence edge cases: write-write races, warm-up state, inclusive
 invariants, and eviction-retry paths."""
 
-import pytest
-
 from repro.common.addr import slice_of
-from repro.common.params import CacheParams, SystemConfig
 from repro.isa.trace import Trace, Workload
 from repro.isa.uops import MicroOp, OpClass
 from repro.mem.cache import LineState
-from repro.mem.coherence import CoherentMemory
-from repro.common.events import EventQueue
 
-from tests.test_coherence import (RecordingPort, do_load, do_store,
-                                  make_memory, settle)
+from tests.test_coherence import do_load, do_store, make_memory, settle
 
 
 class TestWriteRaces:

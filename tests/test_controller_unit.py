@@ -5,10 +5,8 @@ pinning, the oldest-load exemption, the write-buffer check, CPT blocking,
 LQ-ID wraparound draining, and Late Pinning's pin-on-arrival handshake.
 """
 
-import pytest
-
 from repro.common.params import (CoreParams, PinnedLoadsParams, PinningMode,
-                                 SystemConfig, ThreatModel)
+                                 SystemConfig)
 from repro.core.lsq import LoadQueue, StoreQueue
 from repro.core.rob import ROBEntry
 from repro.isa.uops import MicroOp, OpClass

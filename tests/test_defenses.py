@@ -2,8 +2,7 @@
 
 import pytest
 
-from repro.common.params import (CoreParams, DefenseKind, PinningMode,
-                                 SystemConfig, ThreatModel)
+from repro.common.params import DefenseKind, SystemConfig, ThreatModel
 from repro.isa.trace import Trace, Workload
 from repro.isa.uops import MicroOp, OpClass
 from repro.sim.runner import run_simulation

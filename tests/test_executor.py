@@ -129,13 +129,6 @@ class TestExperimentCacheContent:
         b = cache.run(BASE, alu_workload("app", addr=0x40_0000))
         assert a is not b
 
-    def test_legacy_key_argument_ignored(self):
-        cache = ExperimentCache()
-        wl = small_workload()
-        a = cache.run(BASE, wl, key="spec17:mcf_r")
-        b = cache.run(BASE, wl, key="other-label")
-        assert a is b
-
     def test_store_backed_cache_survives_memo_clear(self, tmp_path):
         cache = ExperimentCache(cache_dir=str(tmp_path))
         wl = small_workload()

@@ -1,6 +1,5 @@
 """Trace-generator edge cases and boundary behaviour."""
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 

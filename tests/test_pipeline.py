@@ -1,13 +1,9 @@
 """End-to-end pipeline behaviour on small hand-built traces."""
 
-import pytest
-
-from repro.common.params import (CacheParams, CoreParams, DefenseKind,
-                                 SystemConfig, ThreatModel)
+from repro.common.params import CoreParams, SystemConfig
 from repro.isa.trace import Trace, Workload
 from repro.isa.uops import MicroOp, OpClass
 from repro.sim.runner import run_simulation
-from repro.sim.system import System
 
 BASE = SystemConfig(core=CoreParams(), l1_prefetch=False)
 
@@ -106,7 +102,8 @@ class TestStoresAndForwarding:
     def test_store_to_load_forwarding(self):
         result = run_trace([store(0, 0x40), load(1, 0x40)])
         assert result.core_stats[0].get("loads_forwarded", 0) == 1
-        assert result.mem_stats.get("loads", 0) == 0   # never reached the cache
+        # never reached the cache
+        assert result.mem_stats.get("loads", 0) == 0
 
     def test_alias_squash_when_store_address_resolves_late(self):
         # the store's address depends on a long FP chain; the younger load
@@ -223,9 +220,8 @@ class TestStructuralLimits:
                            l1_prefetch=False)
         # many independent misses: a bigger window overlaps more of them
         uops = [load(i, 0x40 * 64 * i) for i in range(24)]
-        slow = run_simulation(SystemConfig(core=CoreParams(rob_entries=16),
-                                           l1_prefetch=False),
-                              Workload([Trace(uops)], name="w"), warm=False)
+        slow = run_simulation(tiny, Workload([Trace(uops)], name="w"),
+                              warm=False)
         fast = run_simulation(big, Workload([Trace(uops)], name="w"),
                               warm=False)
         assert fast.cycles < slow.cycles

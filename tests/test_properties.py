@@ -6,7 +6,6 @@ completion, determinism, pinned-load safety, and the security orderings the
 paper's design arguments rest on.
 """
 
-import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 

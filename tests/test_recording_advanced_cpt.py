@@ -73,9 +73,8 @@ class TestL1TagPinRecord:
             defense=DefenseKind.FENCE,
             pinning=PinnedLoadsParams(mode=PinningMode.EARLY,
                                       pin_record="l1tag"))
-        system_result = run_simulation(config, workload)
         # the controller's record must have been exercised: accesses are
-        # visible on the controller object via a fresh run
+        # visible on the controller object after the run
         from repro.sim.system import System
         system = System(config, workload)
         system.mem.warm(workload)

@@ -5,8 +5,6 @@ import pytest
 from repro.common.errors import ConfigError, DeadlockError
 from repro.common.params import (DefenseKind, PinningMode, SystemConfig,
                                  ThreatModel)
-from repro.isa.trace import Trace, Workload
-from repro.isa.uops import MicroOp, OpClass
 from repro.sim.runner import ExperimentCache, run_simulation, scheme_grid
 from repro.sim.system import BarrierManager, System
 from repro.workloads import parallel_workload, spec17_workload
