@@ -18,8 +18,7 @@ Quickstart::
 """
 
 from repro.chaos import run_campaign
-from repro.common.errors import (CheckpointError, InvariantViolation,
-                                 VerificationError)
+from repro.common.errors import InvariantViolation, VerificationError
 from repro.common.params import (COMPREHENSIVE, SPECTRE, CacheParams,
                                  ChaosConfig, CoreParams, DefenseKind,
                                  NetworkParams, PinnedLoadsParams,
@@ -28,9 +27,6 @@ from repro.common.stats import geomean, overhead_pct
 from repro.isa.trace import Trace, Workload
 from repro.isa.uops import MicroOp, OpClass
 from repro.isa.serialize import load_workload, save_workload
-from repro.sim.checkpoint import (load_checkpoint, restore_system,
-                                  run_with_checkpoints, save_checkpoint,
-                                  snapshot_system)
 from repro.sim.executor import Executor, ResultStore, Task, cache_key
 from repro.sim.results import SimResult
 from repro.sim.runner import ExperimentCache, run_simulation, scheme_grid
@@ -44,16 +40,14 @@ __version__ = "1.0.0"
 
 __all__ = [
     "COMPREHENSIVE", "SPECTRE", "CacheParams", "ChaosConfig",
-    "CheckpointError", "CoreParams", "DefenseKind",
+    "CoreParams", "DefenseKind",
     "Executor", "ExperimentCache", "InvariantViolation", "MicroOp",
     "NetworkParams", "OpClass", "PARALLEL_NAMES", "ResultStore", "Task",
     "VerificationError",
     "PinnedLoadsParams", "PinningMode", "SPEC17_NAMES", "SimResult",
     "Sweep", "System", "SystemConfig", "ThreatModel", "Trace", "Workload",
     "WorkloadProfile", "build_workload", "cache_key", "calibrate",
-    "geomean", "load_checkpoint",
-    "load_workload", "overhead_pct", "parallel_workload", "restore_system",
-    "run_campaign", "run_simulation", "run_with_checkpoints",
-    "save_checkpoint", "save_workload", "scheme_grid", "snapshot_system",
+    "geomean", "load_workload", "overhead_pct", "parallel_workload",
+    "run_campaign", "run_simulation", "save_workload", "scheme_grid",
     "spec17_workload", "__version__",
 ]

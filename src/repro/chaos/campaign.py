@@ -18,21 +18,19 @@ network statistics — those are *supposed* to move under fault injection.
 
 The campaign also self-tests its own teeth: a deliberately broken
 mutant (``mutate="evict-pinned"``, which lets forced evictions target
-pinned lines in violation of §5.1.3) must be caught by the sanitizer,
-and a mid-run checkpoint/restore of a chaos run must finish with
-bit-identical results (``repro.sim.checkpoint``).
+pinned lines in violation of §5.1.3) must be caught by the sanitizer.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.common.errors import InvariantViolation, JobFailedError
+from repro.common.errors import InvariantViolation
 from repro.common.params import ChaosConfig, SystemConfig
 from repro.isa.trace import Workload
 from repro.sim.results import SimResult
-from repro.sim.runner import run_simulation
+from repro.sim.runner import build_cell, run_simulation
 
 #: Campaign-wide chaos knobs layered over ``ChaosConfig`` defaults: the
 #: write-buffer spike generator is off by default (interval 0) but the
@@ -81,72 +79,18 @@ def _chaos_config(seed: int, overrides: Optional[Dict]) -> ChaosConfig:
     return ChaosConfig(seed=seed, **knobs)
 
 
-#: A cell runner maps (workload, scheme, sanitize, chaos knobs or None)
-#: to a ``SimResult``, raising ``InvariantViolation`` when the
-#: sanitizer trips.  The local runner simulates in-process; the service
-#: runner submits the same cell as a bulk-priority job to a running
-#: ``repro serve`` instance.
-CellRunner = Callable[[str, str, bool, Optional[Dict]], SimResult]
+def _simulate(config: SystemConfig, workload: Workload,
+              chaos: Optional[ChaosConfig]) -> SimResult:
+    """One sanitized run, under ``chaos`` or fault-free; raises
+    ``InvariantViolation`` when the sanitizer trips."""
+    return run_simulation(
+        dataclasses.replace(config, sanitize=True, chaos=chaos), workload)
 
 
-def _local_runner(instructions: int, threads: int) -> CellRunner:
-    from repro.service.jobs import build_cell
-    cells: Dict[Tuple[str, str], Tuple[SystemConfig, Workload]] = {}
-
-    def run(name: str, scheme: str, sanitize: bool,
-            chaos: Optional[Dict]) -> SimResult:
-        cell = cells.get((name, scheme))
-        if cell is None:
-            cell = cells[(name, scheme)] = build_cell(
-                name, instructions, threads, scheme)
-        config, workload = cell
-        replacements: Dict = {}
-        if sanitize:
-            replacements["sanitize"] = True
-        if chaos is not None:
-            replacements["chaos"] = ChaosConfig(**chaos)
-        if replacements:
-            config = dataclasses.replace(config, **replacements)
-        return run_simulation(config, workload)
-
-    return run
-
-
-def _service_runner(service_url: str, instructions: int, threads: int,
-                    timeout_s: float = 600.0) -> CellRunner:
-    """Run campaign cells through a live job service.
-
-    Exercises the whole stack — admission, journal, executor — with the
-    campaign's own cells at bulk priority (interactive submissions keep
-    overtaking them).  A sanitizer trip inside the service surfaces as
-    a failed job whose message carries the ``InvariantViolation`` text;
-    it is re-raised here so campaign accounting is identical either way.
-    """
-    from repro.service.client import ServiceClient
-    from repro.service.jobs import PRIORITY_BULK, JobSpec
-    client = ServiceClient(service_url)
-
-    def run(name: str, scheme: str, sanitize: bool,
-            chaos: Optional[Dict]) -> SimResult:
-        spec = JobSpec(workload=name, scheme=scheme,
-                       instructions=instructions, threads=threads,
-                       sanitize=sanitize, chaos=chaos,
-                       priority=PRIORITY_BULK)
-        try:
-            return client.run(spec, timeout_s=timeout_s)
-        except JobFailedError as err:
-            message = str(err)
-            if "InvariantViolation" in message:
-                raise InvariantViolation("service-cell", message)
-            raise
-
-    return run
-
-
-def _run_cell(runner: CellRunner, name: str, scheme: str,
+def _run_cell(config: SystemConfig, workload: Workload, scheme: str,
               seeds: int, overrides: Optional[Dict]) -> Dict:
     """One (workload, scheme) cell: sanitized baseline + N chaos seeds."""
-    baseline = runner(name, scheme, True, None)
+    baseline = _simulate(config, workload, None)
     expected = architectural_fingerprint(baseline)
     cell = {
         "workload": baseline.workload_name,
@@ -157,9 +101,9 @@ def _run_cell(runner: CellRunner, name: str, scheme: str,
         "violations": [],
     }
     for seed in range(seeds):
-        chaos_doc = dataclasses.asdict(_chaos_config(seed, overrides))
         try:
-            result = runner(name, scheme, True, chaos_doc)
+            result = _simulate(config, workload,
+                               _chaos_config(seed, overrides))
         except InvariantViolation as violation:
             cell["violations"].append(
                 {"seed": seed, "violation": str(violation)[:500]})
@@ -180,7 +124,8 @@ def _run_cell(runner: CellRunner, name: str, scheme: str,
     return cell
 
 
-def _run_self_test(runner: CellRunner, name: str, scheme: str) -> Dict:
+def _run_self_test(config: SystemConfig, workload: Workload,
+                   scheme: str) -> Dict:
     """Campaign self-test: the ``evict-pinned`` mutant MUST be caught.
 
     Forced evictions are allowed (forced, even: every tick targets a
@@ -192,93 +137,44 @@ def _run_self_test(runner: CellRunner, name: str, scheme: str) -> Dict:
                          msg_jitter_prob=0.0, nack_prob=0.0,
                          mutate="evict-pinned")
     try:
-        runner(name, scheme, True, dataclasses.asdict(mutant))
+        _simulate(config, workload, mutant)
     except InvariantViolation as violation:
         return {"scheme": scheme, "detected": True,
                 "violation": str(violation)[:500]}
     return {"scheme": scheme, "detected": False}
 
 
-def _checkpoint_equivalence(name: str, scheme: str, instructions: int,
-                            threads: int,
-                            overrides: Optional[Dict]) -> Dict:
-    """Mid-run snapshot/restore of a chaos run must not change anything:
-    the resumed run's full result document is compared bit-for-bit
-    against an uninterrupted run of the same configuration.
-
-    Always runs in-process (even when the campaign's cells go through a
-    service): it needs live ``System`` objects to snapshot mid-run.
-    """
-    from repro.service.jobs import build_cell
-    from repro.sim.checkpoint import restore_system, snapshot_system
-    from repro.sim.runner import collect_result
-    from repro.sim.system import System
-    base, workload = build_cell(name, instructions, threads, scheme)
-    config = dataclasses.replace(
-        base, sanitize=False, chaos=_chaos_config(0, overrides))
-    reference = System(config, workload)
-    reference.mem.warm(workload)
-    reference.run()
-    expected = collect_result(reference).to_dict()
-    interrupted = System(config, workload)
-    interrupted.mem.warm(workload)
-    stop = max(1, reference.cycles // 2)
-    interrupted.run(stop_cycle=stop)
-    resumed = restore_system(snapshot_system(interrupted))
-    resumed.run()
-    actual = collect_result(resumed).to_dict()
-    return {"scheme": scheme, "stop_cycle": stop,
-            "cycles": reference.cycles, "identical": actual == expected}
-
-
 def run_campaign(workload_names: List[str], scheme_names: List[str],
                  seeds: int = 5, instructions: int = 3000,
                  threads: int = 4, chaos_overrides: Optional[Dict] = None,
-                 self_test: bool = True,
-                 checkpoint_check: bool = True,
-                 service_url: Optional[str] = None) -> Dict:
+                 self_test: bool = True) -> Dict:
     """Run the full campaign; returns a JSON-serializable report whose
-    ``passed`` field is the overall verdict.
-
-    With ``service_url`` the campaign's cells are submitted as
-    bulk-priority jobs to a running ``repro serve`` instance instead of
-    simulating in-process, exercising admission control, the journal,
-    and the executor end to end.  The checkpoint-equivalence check still
-    runs locally (it snapshots live ``System`` objects mid-run).
-    """
+    ``passed`` field is the overall verdict."""
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
-    if service_url:
-        runner = _service_runner(service_url, instructions, threads)
-    else:
-        runner = _local_runner(instructions, threads)
     cells = []
     for name in workload_names:
         for scheme in scheme_names:
-            cells.append(_run_cell(runner, name, scheme, seeds,
+            config, workload = build_cell(name, instructions, threads,
+                                          scheme)
+            cells.append(_run_cell(config, workload, scheme, seeds,
                                    chaos_overrides))
     report: Dict = {
         "seeds": seeds,
         "instructions": instructions,
         "workloads": list(workload_names),
         "schemes": list(scheme_names),
-        "service_url": service_url,
         "cells": cells,
         "self_test": None,
-        "checkpoint_check": None,
     }
     # the self-test needs a pinning scheme (only pinned lines make the
     # mutant meaningful) and prefers a single-threaded workload so every
     # forced-eviction tick lands on the one core doing the pinning
     pinning = [s for s in scheme_names if s.endswith(("-lp", "-ep"))]
     if self_test and pinning:
-        report["self_test"] = _run_self_test(
-            runner, workload_names[0], pinning[0])
-    if checkpoint_check:
-        scheme = pinning[0] if pinning else scheme_names[0]
-        report["checkpoint_check"] = _checkpoint_equivalence(
-            workload_names[0], scheme, instructions, threads,
-            chaos_overrides)
+        config, workload = build_cell(workload_names[0], instructions,
+                                      threads, pinning[0])
+        report["self_test"] = _run_self_test(config, workload, pinning[0])
     failures: List[str] = []
     for cell in cells:
         label = f"{cell['workload']}/{cell['scheme']}"
@@ -289,9 +185,6 @@ def run_campaign(workload_names: List[str], scheme_names: List[str],
     if report["self_test"] is not None \
             and not report["self_test"]["detected"]:
         failures.append("self-test: evict-pinned mutant went undetected")
-    if report["checkpoint_check"] is not None \
-            and not report["checkpoint_check"]["identical"]:
-        failures.append("checkpoint: resumed run diverged")
     report["failures"] = failures
     report["passed"] = not failures
     return report
@@ -325,12 +218,6 @@ def format_report(report: Dict) -> str:
         verdict = ("mutant detected (sanitizer has teeth)"
                    if self_test["detected"] else "MUTANT NOT DETECTED")
         lines.append(f"  self-test ({self_test['scheme']}): {verdict}")
-    checkpoint = report.get("checkpoint_check")
-    if checkpoint is not None:
-        verdict = ("bit-identical" if checkpoint["identical"]
-                   else "DIVERGED")
-        lines.append(f"  checkpoint/resume ({checkpoint['scheme']}, "
-                     f"stop@{checkpoint['stop_cycle']}): {verdict}")
     lines.append("PASS" if report["passed"]
                  else "FAIL: " + "; ".join(report["failures"]))
     return "\n".join(lines)

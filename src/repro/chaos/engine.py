@@ -19,10 +19,6 @@ chaos run is a pure function of (config, workload): same seed, same
 faults, same cycle count.  Different seeds must still retire the same
 instruction stream — the campaign (``repro.chaos.campaign``) asserts
 exactly that.
-
-The engine is part of the ``System`` object graph and pickles with it
-(``repro.sim.checkpoint``): RNG state, backoff counters, and pending
-chaos events all survive a checkpoint/resume.
 """
 
 from __future__ import annotations
@@ -39,11 +35,8 @@ from repro.common.params import ChaosConfig
 class ChaosEngine:
     """Seeded fault injector bound to one ``System``."""
 
-    # the engine (RNG, backoff counters, eviction phase) is part of the
-    # pickled System graph for chaos runs, so state lives in slots;
-    # "__dict__" stays only for the sanitizer, which shadows the fault
-    # methods with recording wrappers (sanitized systems are never
-    # checkpointed — save_checkpoint refuses them)
+    # "__dict__" is for the sanitizer, which shadows the fault methods
+    # with recording wrappers
     __slots__ = ("config", "system", "rng", "_nack_counts",
                  "_evict_l1_next", "__dict__")
 
@@ -230,8 +223,8 @@ class ChaosEngine:
         attempt = self._worker_attempt()
         if attempt is None or attempt > self.config.alloc_attempts:
             return
-        # the allocation is transient (never stored on the engine, so it
-        # can never leak into a checkpoint pickle): address space must be
-        # committed at construction, which is where RLIMIT_AS bites
+        # the allocation is transient (never stored on the engine):
+        # address space must be committed at construction, which is
+        # where RLIMIT_AS bites
         ballast = bytearray(self.config.alloc_mb << 20)
         del ballast

@@ -13,14 +13,10 @@ Commands:
   cell must be architecturally identical); see ``docs/resilience.md``
 * ``attack``     — the adversarial leakage campaign (per-scheme,
   per-attack-class verdict matrix); see ``docs/security.md``
-* ``serve``      — the crash-tolerant job service (durable journal,
-  admission control, graceful drain); see ``docs/resilience.md``
-* ``submit``     — submit one job to a running service and (optionally)
-  wait for its result
 
 Exit codes are part of the contract: every command returns 0 only on
 full success and a nonzero status on any failure (divergence, lint
-finding, failed job, unreachable service), so CI can gate on them.
+finding, unexpected verdict), so CI can gate on them.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ from repro.analysis.area import cst_hardware_table
 from repro.analysis.breakdown import stacked_overheads, vp_condition_cycles
 from repro.analysis.tables import format_stat_table
 from repro.common.params import DefenseKind, PinningMode, ThreatModel
-from repro.sim.runner import ExperimentCache, scheme_config
+from repro.sim.runner import ExperimentCache, build_cell, scheme_config
 from repro.workloads import PARALLEL_NAMES, SPEC17_NAMES
 
 _THREAT_NAMES = {"spectre": ThreatModel.CTRL, "ctrl": ThreatModel.CTRL,
@@ -44,11 +40,9 @@ _PIN_NAMES = {"none": PinningMode.NONE, "lp": PinningMode.LATE,
 
 
 def _build_workload(name: str, instructions: int, threads: int):
-    from repro.common.errors import BadRequestError
-    from repro.service.jobs import build_cell
     try:
         return build_cell(name, instructions, threads, "unsafe")
-    except BadRequestError as error:
+    except ValueError as error:
         raise SystemExit(f"{error}; see `repro workloads`")
 
 
@@ -218,25 +212,10 @@ def _cmd_verify_analyze(args) -> int:
     passes = [p.strip() for p in args.passes.split(",")
               if p.strip()] or None
     try:
-        from repro.verify.passes import (analyze_paths, write_baseline,
-                                         write_manifest)
-        from repro.verify.passes.base import load_sources
-        if args.update_manifest:
-            manifest_path = Path(args.manifest) if args.manifest \
-                else None
-            from repro.verify.passes.checkpoint_state import (
-                MANIFEST_FILENAME)
-            import repro.verify.passes as passes_pkg
-            target = manifest_path or (
-                Path(passes_pkg.__file__).parent / MANIFEST_FILENAME)
-            write_manifest(load_sources([str(p) for p in paths]),
-                           target)
-            print(f"state manifest regenerated: {target}",
-                  file=sys.stderr)
+        from repro.verify.passes import analyze_paths, write_baseline
         report = analyze_paths(
             [str(p) for p in paths], passes=passes,
-            baseline_path=args.baseline or None,
-            manifest_path=args.manifest or None)
+            baseline_path=args.baseline or None)
         if args.update_baseline:
             from repro.verify.passes import default_baseline_path
             target = Path(args.baseline) if args.baseline \
@@ -279,14 +258,9 @@ def _cmd_chaos(args) -> int:
         report = run_campaign(
             workloads, schemes, seeds=args.seeds,
             instructions=args.instructions, threads=args.threads,
-            self_test=not args.no_self_test,
-            checkpoint_check=not args.no_checkpoint_check,
-            service_url=args.service or None)
+            self_test=not args.no_self_test)
     except ValueError as error:
         raise SystemExit(f"repro chaos: {error}")
-    except (ConnectionError, TimeoutError) as error:
-        raise SystemExit(f"repro chaos: service at {args.service} "
-                         f"unreachable: {error}")
     if args.json:
         print(json.dumps(report, indent=2, sort_keys=True))
     else:
@@ -312,13 +286,9 @@ def _cmd_attack(args) -> int:
         report = run_campaign(
             scheme_names=schemes, attack_names=classes,
             seeds=args.seeds, jobs=args.jobs,
-            self_test=not args.no_self_test,
-            service_url=args.service or None)
+            self_test=not args.no_self_test)
     except ValueError as error:
         raise SystemExit(f"repro attack: {error}")
-    except (ConnectionError, TimeoutError) as error:
-        raise SystemExit(f"repro attack: service at {args.service} "
-                         f"unreachable: {error}")
     except Exception as error:  # noqa: B902 - the distinct-exit contract
         print(f"repro attack: internal error: "
               f"{type(error).__name__}: {error}", file=sys.stderr)
@@ -335,55 +305,6 @@ def _cmd_attack(args) -> int:
         if not args.json:
             print(f"matrix        : {args.out}")
     return 0 if report["passed"] else 1
-
-
-def _cmd_serve(args) -> int:
-    import logging
-
-    from repro.service import Supervisor, serve
-    logging.basicConfig(
-        level=logging.DEBUG if args.verbose else logging.INFO,
-        format="%(asctime)s %(name)s %(levelname)s %(message)s")
-    supervisor = Supervisor(
-        args.root, jobs=args.jobs, queue_capacity=args.queue_capacity,
-        timeout_s=args.timeout, retries=args.retries,
-        worker_memory_mb=args.worker_memory_mb,
-        checkpoint_interval=args.checkpoint_interval,
-        fsync=not args.no_fsync)
-    try:
-        serve(supervisor, host=args.host, port=args.port)
-    except OSError as error:
-        raise SystemExit(f"repro serve: cannot listen on "
-                         f"{args.host}:{args.port}: {error}")
-    return 0
-
-
-def _cmd_submit(args) -> int:
-    import json
-
-    from repro.common.errors import ServiceError
-    from repro.service import JobSpec, ServiceClient
-    try:
-        chaos = json.loads(args.chaos) if args.chaos else None
-        spec = JobSpec(workload=args.workload, scheme=args.scheme,
-                       instructions=args.instructions,
-                       threads=args.threads, sanitize=args.sanitize,
-                       chaos=chaos, priority=args.priority)
-        spec.resolve()  # reject bad cells before touching the network
-    except ValueError as error:
-        raise SystemExit(f"repro submit: {error}")
-    client = ServiceClient(args.url)
-    try:
-        if args.wait:
-            result = client.run(spec, timeout_s=args.wait_timeout)
-            print(json.dumps(result.to_dict(), indent=2, sort_keys=True))
-        else:
-            print(json.dumps(client.submit(spec), indent=2,
-                             sort_keys=True))
-    except (ServiceError, ConnectionError, TimeoutError) as error:
-        print(f"repro submit: {error}", file=sys.stderr)
-        return 1
-    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -457,8 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     analyze_p = verify_sub.add_parser(
         "analyze",
-        help="multi-pass static contract analysis (wakeup, checkpoint, "
-             "determinism, service, event discipline)")
+        help="multi-pass static contract analysis (lint, wakeup, "
+             "determinism, event discipline)")
     analyze_p.add_argument("paths", nargs="*",
                            help="files/directories to analyze "
                                 "(default: the repro package)")
@@ -477,12 +398,6 @@ def build_parser() -> argparse.ArgumentParser:
     analyze_p.add_argument("--update-baseline", action="store_true",
                            help="accept all current findings into the "
                                 "baseline and exit 0")
-    analyze_p.add_argument("--manifest", default="",
-                           help="state-shape manifest path (default: "
-                                "the committed one)")
-    analyze_p.add_argument("--update-manifest", action="store_true",
-                           help="regenerate the checkpoint state-shape "
-                                "manifest before analyzing")
     analyze_p.set_defaults(func=_cmd_verify_analyze)
 
     lint_p = verify_sub.add_parser(
@@ -512,15 +427,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write the JSON report here")
     chaos_p.add_argument("--no-self-test", action="store_true",
                          help="skip the evict-pinned mutant self-test")
-    chaos_p.add_argument("--no-checkpoint-check", action="store_true",
-                         help="skip the checkpoint/resume equivalence "
-                         "check")
     chaos_p.add_argument("--json", action="store_true",
                          help="print the full JSON report to stdout "
                          "instead of the human-readable summary")
-    chaos_p.add_argument("--service", default="", metavar="URL",
-                         help="run campaign cells through a live "
-                         "`repro serve` instance at URL")
     chaos_p.set_defaults(func=_cmd_chaos)
 
     attack_p = sub.add_parser(
@@ -547,59 +456,7 @@ def build_parser() -> argparse.ArgumentParser:
     attack_p.add_argument("--json", action="store_true",
                           help="print the full JSON report to stdout "
                           "instead of the human-readable summary")
-    attack_p.add_argument("--service", default="", metavar="URL",
-                          help="run oracle cells through a live "
-                          "`repro serve` instance at URL (mutant "
-                          "self-tests stay local)")
     attack_p.set_defaults(func=_cmd_attack)
-
-    serve_p = sub.add_parser(
-        "serve", help="crash-tolerant job service (journal + admission "
-        "control + graceful drain)")
-    serve_p.add_argument("--root", default=".repro-service",
-                         help="service state directory: journal, result "
-                         "store, checkpoints (default .repro-service)")
-    serve_p.add_argument("--host", default="127.0.0.1")
-    serve_p.add_argument("--port", type=int, default=8321)
-    serve_p.add_argument("--jobs", type=int, default=2,
-                         help="worker processes at the full level")
-    serve_p.add_argument("--queue-capacity", type=int, default=64,
-                         help="admission queue bound (backpressure above)")
-    serve_p.add_argument("--timeout", type=float, default=None,
-                         help="per-job wall-clock timeout in seconds")
-    serve_p.add_argument("--retries", type=int, default=1,
-                         help="retry budget per failed job")
-    serve_p.add_argument("--worker-memory-mb", type=int, default=None,
-                         help="RLIMIT_AS ceiling per worker process "
-                         "(default: unlimited)")
-    serve_p.add_argument("--checkpoint-interval", type=int, default=None,
-                         help="cycles between rolling job checkpoints")
-    serve_p.add_argument("--no-fsync", action="store_true",
-                         help="skip fsync on journal appends (faster, "
-                         "loses the last records on power failure)")
-    serve_p.add_argument("--verbose", action="store_true")
-    serve_p.set_defaults(func=_cmd_serve)
-
-    submit_p = sub.add_parser(
-        "submit", help="submit one job to a running `repro serve`")
-    submit_p.add_argument("workload", help="benchmark name")
-    submit_p.add_argument("--url", default="http://127.0.0.1:8321")
-    submit_p.add_argument("--scheme", default="unsafe",
-                          help="unsafe or a scheme_grid cell "
-                          "(e.g. fence-ep)")
-    submit_p.add_argument("--instructions", type=int, default=4000)
-    submit_p.add_argument("--threads", type=int, default=8)
-    submit_p.add_argument("--sanitize", action="store_true",
-                          help="run with the invariant sanitizer on")
-    submit_p.add_argument("--chaos", default="", metavar="JSON",
-                          help="ChaosConfig fields as a JSON object")
-    submit_p.add_argument("--priority", type=int, default=5,
-                          help="0=interactive .. 10=bulk (default 5)")
-    submit_p.add_argument("--wait", action="store_true",
-                          help="block until the job finishes and print "
-                          "its result document")
-    submit_p.add_argument("--wait-timeout", type=float, default=600.0)
-    submit_p.set_defaults(func=_cmd_submit)
     return parser
 
 

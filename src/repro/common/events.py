@@ -29,13 +29,7 @@ from typing import Callable, List, Tuple
 
 
 class EventQueue:
-    """Time-ordered callback queue with stable FIFO ordering for ties.
-
-    The tie-breaking sequence number is a plain integer (not an
-    ``itertools.count``) so a mid-run queue — callbacks, bound arguments,
-    and the counter itself — pickles into a simulation checkpoint
-    (``repro.sim.checkpoint``) and resumes with identical ordering.
-    """
+    """Time-ordered callback queue with stable FIFO ordering for ties."""
 
     __slots__ = ("_heap", "_seq", "now")
 

@@ -151,35 +151,6 @@ class Core(CorePort):
         self._rob_capacity = self.rob.capacity
         mem.attach_port(core_id, self)
 
-    # The column aliases above are *derived* state: they must stay the
-    # very same list objects the ROB's ``ColumnState`` holds.  Pickling
-    # them would break that identity (``ColumnState.__getstate__``
-    # re-materializes its columns on restore), so a checkpoint drops the
-    # aliases and a restore re-hoists them from the rebuilt components.
-    _DERIVED_ALIASES = ("_cols", "_flags", "_vp_col", "_slot_mask",
-                        "_handles", "_wb_entries", "_twins")
-
-    def __getstate__(self):
-        dict_state, slots = object.__getstate__(self)
-        for name in self._DERIVED_ALIASES:
-            slots.pop(name, None)
-        return (dict_state, slots)
-
-    def __setstate__(self, state) -> None:
-        dict_state, slots = state
-        if dict_state:
-            self.__dict__.update(dict_state)
-        for name, value in slots.items():
-            setattr(self, name, value)
-        self._cols = self.rob.cols
-        self._flags = self._cols.flags
-        self._vp_col = self._cols.vp
-        self._slot_mask = self.rob._mask
-        self._handles = self.rob._handles
-        self._wb_entries = self.write_buffer._entries
-        self._twins = self.trace.twins if self.trace.has_transient \
-            else None
-
     # ------------------------------------------------------------------
     # CorePort (coherence layer callbacks)
     # ------------------------------------------------------------------
@@ -573,8 +544,6 @@ class Core(CorePort):
             return
         entry.outstanding = True
         self.stats.bump("loads_issued")
-        # callbacks are partials over bound methods, never lambdas: a
-        # mid-flight fill must survive a checkpoint pickle round-trip
         self.mem.load(self.core_id, entry.line,
                       partial(self._on_load_data, entry))
 

@@ -1,7 +1,7 @@
 """Reorder buffer: parallel column state plus slim per-uop handles.
 
 The mutable execution state of in-flight uops is a struct-of-arrays
-block (``ColumnState``): preallocated ``array`` columns indexed by a
+block (``ColumnState``): preallocated list columns indexed by a
 *slot id*.  The reorder buffer window is contiguous in program order —
 dispatch pushes index ``cursor``, squash pops a suffix and rewinds the
 cursor, retire advances the head — so a uop's slot is simply
@@ -21,7 +21,6 @@ directly.  The same ``MicroOp`` may be dispatched several times
 
 from __future__ import annotations
 
-from array import array
 from typing import Iterator, List, Optional
 
 from repro.isa.uops import MicroOp
@@ -54,24 +53,14 @@ def _pow2(capacity: int) -> int:
 class ColumnState:
     """Preallocated parallel columns of per-slot mutable uop state.
 
-    In memory the columns are plain preallocated lists: CPython indexes
-    a list roughly twice as fast as a typed ``array`` (no element
-    boxing), and read-modify-write flag stores are ~3x faster, which is
-    what the per-tick scans actually pay.  The typed layout still
-    exists — at checkpoint time each column pickles as a compact
-    ``array`` buffer (``__getstate__``), so a format-4 snapshot stores
-    flat machine-sized columns rather than per-entry object graphs.
+    The columns are plain preallocated lists: CPython indexes a list
+    roughly twice as fast as a typed ``array`` (no element boxing), and
+    read-modify-write flag stores are ~3x faster, which is what the
+    per-tick scans actually pay.
     """
 
     __slots__ = ("cap", "mask", "flags", "pending", "pending_data",
                  "vp", "lq_id", "complete_cycle", "dispatch_cycle")
-
-    #: (name, array typecode) per column, in pickle order.  ``H`` holds
-    #: every flag combination (< 2**16); cycle counts / indices are
-    #: signed 64-bit so -1 sentinels and long runs fit.
-    _COLUMNS = (("flags", "H"), ("pending", "i"), ("pending_data", "i"),
-                ("vp", "q"), ("lq_id", "q"),
-                ("complete_cycle", "q"), ("dispatch_cycle", "q"))
 
     def __init__(self, capacity: int) -> None:
         cap = _pow2(capacity)
@@ -84,17 +73,6 @@ class ColumnState:
         self.lq_id = [-1] * cap
         self.complete_cycle = [-1] * cap
         self.dispatch_cycle = [0] * cap
-
-    def __getstate__(self):
-        return (self.cap, [array(code, getattr(self, name))
-                           for name, code in self._COLUMNS])
-
-    def __setstate__(self, state) -> None:
-        cap, columns = state
-        self.cap = cap
-        self.mask = cap - 1
-        for (name, _code), column in zip(self._COLUMNS, columns):
-            setattr(self, name, column.tolist())
 
     def reset(self, slot: int, pending_deps: int,
               dispatch_cycle: int) -> None:

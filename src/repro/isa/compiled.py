@@ -14,9 +14,7 @@ already is):
 Everything else the engine needs per uop (the ``MicroOp`` itself, its
 cache line and dependency tuples) is boxed from the trace at each
 engine build, so the memo below holds only these few bytes per uop
-for as long as the trace lives.  The arrays are derived and immutable,
-so they are *not* checkpoint state: the engine that reads them is
-dropped from the pickled ``System`` graph and rebuilt after a restore.
+for as long as the trace lives.
 """
 
 from __future__ import annotations

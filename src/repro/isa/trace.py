@@ -101,9 +101,7 @@ class Trace:
 class Workload:
     """A named set of per-thread traces that run together on one system."""
 
-    # __weakref__ so the checkpoint writer (repro.sim.checkpoint) can
-    # memoize the serialized immutable part per workload
-    __slots__ = ("traces", "name", "_fingerprint", "__weakref__")
+    __slots__ = ("traces", "name", "_fingerprint")
 
     def __init__(self, traces: Sequence[Trace],
                  name: str = "workload") -> None:

@@ -132,28 +132,6 @@ class CacheArray:
     def occupancy(self) -> int:
         return sum(map(len, self._sets.values()))
 
-    # -- checkpoint shape ----------------------------------------------
-    #
-    # Only the non-empty sets are serialized, as ``(set_index, [(line,
-    # state), ...])`` rows in set-index order.  The item order of each
-    # row is the set's LRU->MRU order, so a restored array replays
-    # identical victim choices.
-
-    def __getstate__(self):
-        return {"params": self.params,
-                "occupied": [(index, list(lines.items()))
-                             for index, lines in sorted(self._sets.items())
-                             if lines]}
-
-    def __setstate__(self, state) -> None:
-        params = state["params"]
-        self.params = params
-        self.num_sets = params.sets
-        self.ways = params.ways
-        self._mask = self.num_sets - 1
-        self._sets = {index: dict(items)
-                      for index, items in state["occupied"]}
-
 
 class MSHR:
     """A miss-status holding register: one outstanding line fill.

@@ -232,7 +232,7 @@ def attack_cores(attack: str) -> int:
 def attack_cell(attack: str, secret: int, seed: int,
                 scheme: str) -> Tuple[SystemConfig, Workload]:
     """The (config, workload) cell for one attack variant under one
-    scheme — the attack-side analogue of ``repro.service.jobs.build_cell``
+    scheme — the attack-side analogue of ``repro.sim.runner.build_cell``
     (which routes ``attack:...`` workload names here)."""
     from repro.sim.runner import scheme_config
     workload = attack_workload(attack, secret, seed)

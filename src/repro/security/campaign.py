@@ -17,10 +17,9 @@ across N seeds, and asserts three properties:
   ``leaks``.  A mutant that goes undetected means the oracle could not
   catch a real defense regression either.
 
-Cells are resolved through the executor (``--jobs``) or a running
-``repro serve`` instance (``--service``) exactly like chaos campaign
-cells: each variant is one content-addressed experiment, so re-runs,
-parallel runs, and service-routed runs produce bit-identical matrices.
+Cells are resolved through the executor (``--jobs``): each variant is
+one content-addressed experiment, so re-runs and parallel runs produce
+bit-identical matrices.
 """
 
 from __future__ import annotations
@@ -113,31 +112,6 @@ def _executor_runner(keys: List[_VariantKey], jobs: int) -> VariantRunner:
     return run
 
 
-def _service_runner(service_url: str,
-                    timeout_s: float = 600.0) -> VariantRunner:
-    """Run oracle variants as bulk-priority jobs on a live ``repro
-    serve`` instance.  Attack cells are ordinary content-addressed jobs
-    (``build_cell`` resolves ``attack:...`` workload names), so the two
-    variants of a pair deduplicate, journal, and cache like any other
-    experiment.  Mutation cells never cross the service boundary — the
-    mutant self-test always runs locally."""
-    from repro.service.client import ServiceClient
-    from repro.service.jobs import PRIORITY_BULK, JobSpec
-    from repro.security.oracle import run_variant
-    client = ServiceClient(service_url)
-
-    def run(attack: str, secret: int, seed: int, scheme: str,
-            mutation: str) -> SimResult:
-        if mutation:
-            return run_variant(attack, secret, seed, scheme, mutation)
-        spec = JobSpec(workload=f"attack:{attack}:s{secret}:seed{seed}",
-                       scheme=scheme, sanitize=True,
-                       priority=PRIORITY_BULK)
-        return client.run(spec, timeout_s=timeout_s)
-
-    return run
-
-
 def _oracle_cell(runner: VariantRunner, attack: str, scheme: str,
                  seeds: int) -> Dict[str, Any]:
     """One matrix cell: the oracle across every seed, plus stability."""
@@ -193,8 +167,7 @@ def _run_self_test(runner: VariantRunner, scheme_names: List[str],
 def run_campaign(scheme_names: Optional[List[str]] = None,
                  attack_names: Optional[List[str]] = None,
                  seeds: int = 2, jobs: int = 1,
-                 self_test: bool = True,
-                 service_url: Optional[str] = None) -> Dict[str, Any]:
+                 self_test: bool = True) -> Dict[str, Any]:
     """Run the leakage campaign; returns a JSON-serializable report
     whose ``passed`` field is the overall verdict (see module docs)."""
     if seeds < 1:
@@ -227,26 +200,13 @@ def run_campaign(scheme_names: Optional[List[str]] = None,
                 for secret in (0, 1):
                     self_test_keys.append(
                         (attack, secret, 0, family_schemes[0], mutation))
-    if service_url:
-        runner = _service_runner(service_url)
-        if self_test_keys:
-            local = _executor_runner(self_test_keys, jobs=1)
-            base_runner = runner
-
-            def runner(attack, secret, seed, scheme, mutation,
-                       _local=local, _remote=base_runner):
-                if mutation:
-                    return _local(attack, secret, seed, scheme, mutation)
-                return _remote(attack, secret, seed, scheme, mutation)
-    else:
-        runner = _executor_runner(keys + self_test_keys, jobs)
+    runner = _executor_runner(keys + self_test_keys, jobs)
     cells = [_oracle_cell(runner, attack, scheme, seeds)
              for attack in attacks for scheme in schemes]
     report: Dict[str, Any] = {
         "seeds": seeds,
         "schemes": schemes,
         "attacks": attacks,
-        "service_url": service_url,
         "cells": cells,
         "self_test": (_run_self_test(runner, schemes, attacks)
                       if self_test else None),
@@ -277,8 +237,8 @@ def matrix_artifact(report: Dict[str, Any]) -> Dict[str, Any]:
 
     Verdicts only — per-channel deltas and raw timings may legitimately
     vary across seeds, but the verdict table is asserted bit-identical
-    across seeds, ``--jobs`` settings, and service-routed runs, so this
-    document is reproducible byte for byte.
+    across seeds and ``--jobs`` settings, so this document is
+    reproducible byte for byte.
     """
     matrix: Dict[str, Dict[str, str]] = {}
     for cell in report["cells"]:

@@ -40,8 +40,8 @@ from repro.sim.results import SimResult
 CHANNELS = ("probe_timing", "cache_state", "retire_timing", "traffic")
 
 #: Maps one attack variant to its result: (attack, secret, seed, scheme,
-#: mutation) -> SimResult.  The campaign injects executor- or
-#: service-backed runners; the default simulates in-process.
+#: mutation) -> SimResult.  The campaign injects an executor-backed
+#: runner; the default simulates in-process.
 VariantRunner = Callable[[str, int, int, str, str], SimResult]
 
 

@@ -1,16 +1,11 @@
 """System assembly, experiment running, and result containers."""
 
-from repro.sim.checkpoint import (CHECKPOINT_FORMAT_VERSION, load_checkpoint,
-                                  restore_system, run_with_checkpoints,
-                                  save_checkpoint, snapshot_system)
 from repro.sim.results import SimResult
 from repro.sim.runner import (GLOBAL_CACHE, ExperimentCache, collect_result,
                               run_simulation, scheme_grid)
 from repro.sim.sweep import Sweep
 from repro.sim.system import BarrierManager, System
 
-__all__ = ["BarrierManager", "CHECKPOINT_FORMAT_VERSION", "ExperimentCache",
-           "GLOBAL_CACHE", "SimResult", "Sweep", "System", "collect_result",
-           "load_checkpoint", "restore_system", "run_simulation",
-           "run_with_checkpoints", "save_checkpoint", "scheme_grid",
-           "snapshot_system"]
+__all__ = ["BarrierManager", "ExperimentCache", "GLOBAL_CACHE", "SimResult",
+           "Sweep", "System", "collect_result", "run_simulation",
+           "scheme_grid"]

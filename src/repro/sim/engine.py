@@ -69,9 +69,8 @@ Two refinements beyond the per-cycle stage order:
   with the all-quiet jump.
 
 The engine holds no simulated state of its own: everything lives in the
-ordinary object model, so checkpoints, diagnostics, and the reference
-loop see one world.  Engines are rebuilt lazily after a checkpoint
-restore (``System.__getstate__`` drops them).
+ordinary object model, so diagnostics and the reference loop see one
+world.
 """
 
 from __future__ import annotations
@@ -103,11 +102,9 @@ _NO_MIN = 1 << 62
 # Several closures below push heap entries directly instead of calling
 # ``EventQueue.schedule_after``.  The entry layout ``(when, seq,
 # callback, args)`` and the plain-int ``_seq`` post-increment replicate
-# ``EventQueue.schedule`` exactly (same tie-break order, same pickled
-# shape); the not-in-the-past guard is dropped because every inlined
-# site schedules at ``now + latency`` with a non-negative latency.  The
-# callbacks stay bound core methods / partials — never engine closures —
-# so a mid-run checkpoint still pickles the heap.
+# ``EventQueue.schedule`` exactly (same tie-break order); the
+# not-in-the-past guard is dropped because every inlined site schedules
+# at ``now + latency`` with a non-negative latency.
 
 
 class _TraceView:
@@ -120,8 +117,8 @@ class _TraceView:
     guard is in ``Core._resolved_mispredicts`` reads as its NOP twin
     (``Trace.twins``: an INT_ALU with the same deps and no address),
     exactly as ``Core._dispatch_stage`` substitutes it.  ``sync``
-    re-derives that overlay from the resolved set; it runs at every
-    (re)build and, through the transient tick wrapper, at the start of
+    re-derives that overlay from the resolved set; it runs at the
+    build and, through the transient tick wrapper, at the start of
     the first tick after the set grows.  A guard only resolves in an
     event callback, which squashes every younger uop, so no in-flight
     uop ever changes class under the closures."""
@@ -229,10 +226,6 @@ def _make_issue_one(core: Core) -> Callable:
 
     The forwarding probe scans the SQ ring backward from the tail: the
     first older same-line address-ready store is the youngest one.
-
-    The memory callback stays a ``partial`` over the *core's* bound
-    method — never an engine closure — so a checkpoint taken with the
-    fill in flight still pickles (the engine is not checkpoint state).
     """
     sq = core.sq
     sq_ring = sq._ring

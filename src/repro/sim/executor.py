@@ -12,16 +12,16 @@ independent, deterministic simulation.  This module provides
   silently re-simulated forever);
 * ``Executor`` — a *self-healing* process-pool engine: per-task
   timeouts, failure isolation, retry of transient failures with capped
-  exponential backoff, resume of interrupted/timed-out tasks from
-  periodic simulation checkpoints (``repro.sim.checkpoint``), recovery
-  from killed workers by rebuilding the pool, and graceful degradation
-  to serial execution when the pool keeps breaking.
+  exponential backoff (each retry starts the cell afresh from cycle
+  zero), recovery from killed workers by rebuilding the pool, and
+  graceful degradation to serial execution when the pool keeps
+  breaking.
 
 Determinism: simulations are pure functions of (config, workload), so
 results are bit-identical whatever ``jobs`` is — the executor only
 changes *when* each cell is computed, never *what* it computes.  The
 test suite asserts this (``tests/test_executor.py``), including across
-worker crashes and checkpoint resumes (``docs/resilience.md``).
+worker crashes and retries (``docs/resilience.md``).
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ try:
 except ImportError:  # pragma: no cover - non-POSIX platforms
     fcntl = None
 
-from repro.common.errors import CheckpointError, DeadlockError
+from repro.common.errors import DeadlockError
 from repro.common.params import SystemConfig
 from repro.isa.trace import Workload
 from repro.sim.results import SimResult
@@ -54,10 +54,6 @@ _log = logging.getLogger(__name__)
 #: changes; old entries become unreachable (different keys) not corrupt.
 #: v2: entries carry an integrity ``checksum`` over the result document.
 CACHE_FORMAT_VERSION = 2
-
-#: Simulated cycles between rolling checkpoints when the executor runs
-#: with a ``checkpoint_dir`` and the caller gave no explicit interval.
-DEFAULT_CHECKPOINT_INTERVAL = 2_000
 
 #: True only inside a process-pool worker (set by the pool initializer).
 #: The chaos engine's process-fault injection (``crash_at_cycle`` /
@@ -283,28 +279,17 @@ class ResultStore:
 
 
 class Task:
-    """One sweep cell: run ``workload`` under ``config``.
+    """One sweep cell: run ``workload`` under ``config``."""
 
-    ``resume=True`` asks the very first attempt to resume from an
-    existing rolling checkpoint (when the executor has a
-    ``checkpoint_dir`` and one is present) instead of starting at cycle
-    zero — the job service sets it when replaying jobs that a previous
-    service incarnation journaled as running or drained.  Without it
-    only retry attempts consult checkpoints, preserving the historical
-    fresh-start semantics of batch sweeps.
-    """
-
-    __slots__ = ("label", "config", "workload", "timeout_s", "resume")
+    __slots__ = ("label", "config", "workload", "timeout_s")
 
     def __init__(self, label: str, config: SystemConfig,
                  workload: Workload,
-                 timeout_s: Optional[float] = None,
-                 resume: bool = False) -> None:
+                 timeout_s: Optional[float] = None) -> None:
         self.label = label
         self.config = config
         self.workload = workload
         self.timeout_s = timeout_s
-        self.resume = resume
 
 
 class TaskFailure:
@@ -330,25 +315,16 @@ class TaskFailure:
 
 
 class ExecutorOutcome:
-    """Results and failures of one ``Executor.run_tasks`` batch.
+    """Results and failures of one ``Executor.run_tasks`` batch."""
 
-    ``drained`` maps the label of every task that was *paused* by a
-    cooperative drain (``Executor(drain_flag=...)``) to the simulated
-    cycle its rolling checkpoint covers — those tasks neither succeeded
-    nor failed; resubmitting them with ``Task(resume=True)`` continues
-    from the checkpoint bit-identically.
-    """
-
-    __slots__ = ("results", "failures", "stats", "drained")
+    __slots__ = ("results", "failures", "stats")
 
     def __init__(self, results: Dict[str, SimResult],
                  failures: List[TaskFailure],
-                 stats: Dict[str, int],
-                 drained: Optional[Dict[str, int]] = None) -> None:
+                 stats: Dict[str, int]) -> None:
         self.results = results
         self.failures = failures
         self.stats = stats
-        self.drained = drained if drained is not None else {}
 
     def result(self, label: str) -> SimResult:
         for failure in self.failures:
@@ -356,31 +332,14 @@ class ExecutorOutcome:
                 raise RuntimeError(
                     f"task {label!r} failed ({failure.kind}): "
                     f"{failure.message}")
-        if label in self.drained:
-            raise RuntimeError(
-                f"task {label!r} was drained at cycle "
-                f"{self.drained[label]}; resubmit with resume=True")
         return self.results[label]
 
 
 class _TaskTimeout(BaseException):
     """Raised by the SIGALRM handler when a task's wall-clock budget is
-    spent.  Derives from ``BaseException`` so the broad ``except
-    Exception`` isolation layers the alarm may interrupt — e.g. the
-    pickle wrapper in ``snapshot_system``, whose checkpoint can be
-    mid-write when the alarm fires — cannot swallow it into a
+    spent.  Derives from ``BaseException`` so a broad ``except
+    Exception`` the alarm may interrupt cannot swallow it into a
     non-retryable error; only ``_run_task`` catches it, as a timeout."""
-
-
-class _TaskDrained(BaseException):
-    """Raised by ``_simulate`` when a cooperative drain paused the task
-    at a checkpoint boundary.  ``BaseException`` for the same reason as
-    ``_TaskTimeout``: no isolation layer may swallow it — only
-    ``_run_task`` catches it, as a "drained" outcome."""
-
-    def __init__(self, cycle: int) -> None:
-        self.cycle = cycle
-        super().__init__(f"drained at cycle {cycle}")
 
 
 def _alarm_handler(_signum, _frame):
@@ -398,10 +357,9 @@ def _task_alarm(timeout_s: Optional[float]):
     kill the process outright under the default disposition).
 
     ``signal.signal`` only works from the main thread; when the serial
-    path runs inside a worker *thread* (the job service's supervisor),
-    the alarm is skipped and stuck-task protection falls to the
-    supervisor's heartbeat watchdog instead.  Pool workers are
-    unaffected — their tasks run on the worker process's main thread.
+    path runs inside a worker *thread*, the alarm is skipped and the
+    task runs without a budget.  Pool workers are unaffected — their
+    tasks run on the worker process's main thread.
     """
     if timeout_s is None or not hasattr(signal, "SIGALRM") \
             or threading.current_thread() is not threading.main_thread():
@@ -416,86 +374,26 @@ def _task_alarm(timeout_s: Optional[float]):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _simulate(config: SystemConfig, workload: Workload, meta: Dict,
-              checkpoint_path: Optional[str],
-              checkpoint_interval: Optional[int],
-              resume: bool = False,
-              drain_flag: Optional[str] = None) -> SimResult:
-    """Run one cell, through the checkpointing path when enabled.
-
-    On a retry (``meta["attempt"] > 1``) — or on a first attempt with
-    ``resume=True`` (journal replay after a service restart) — a valid
-    rolling checkpoint left by a previous attempt/incarnation is resumed
-    instead of restarting from cycle zero; a missing or corrupt
-    checkpoint falls back to a fresh run.  Sanitized configs always run
-    fresh — they cannot be checkpointed (``repro.sim.checkpoint``).
-
-    With a ``drain_flag``, the checkpoint loop pauses at the first
-    checkpoint boundary after the flag file appears and this raises
-    ``_TaskDrained`` — the rolling checkpoint is deliberately *kept* so
-    a later attempt resumes it.
-    """
-    # deferred import: repro.sim.runner imports this module
-    from repro.sim.runner import collect_result, run_simulation
-    if checkpoint_path is None or config.sanitize:
-        return run_simulation(config, workload)
-    from repro.sim.checkpoint import load_checkpoint, run_with_checkpoints
-    from repro.sim.system import System
-    system = None
-    if (meta["attempt"] > 1 or resume) and os.path.exists(checkpoint_path):
-        try:
-            system = load_checkpoint(checkpoint_path)
-            meta["resumed_from"] = system.cycles
-        except CheckpointError as err:
-            _log.warning("executor: discarding unusable checkpoint %s "
-                         "(%s); restarting task from cycle 0",
-                         checkpoint_path, err)
-            system = None
-    if system is None:
-        system = System(config, workload)
-        system.mem.warm(workload)
-    run_with_checkpoints(
-        system, checkpoint_path,
-        checkpoint_interval or DEFAULT_CHECKPOINT_INTERVAL,
-        stop_flag=drain_flag)
-    if not system.done:
-        raise _TaskDrained(system.cycles)
-    try:
-        os.unlink(checkpoint_path)
-    except OSError:
-        pass
-    return collect_result(system)
-
-
 def _run_task(label: str, config: SystemConfig, workload: Workload,
               timeout_s: Optional[float], attempt: int = 1,
-              checkpoint_path: Optional[str] = None,
-              checkpoint_interval: Optional[int] = None,
-              resume: bool = False,
-              drain_flag: Optional[str] = None,
               ) -> Tuple[str, str, object, Dict]:
     """Worker entry point (also the serial path, for identical
     semantics at ``jobs=1``).  Never raises: failures are reported as
-    ('error'|'timeout'|'oom'|'drained', message) so one bad cell cannot
-    take down the batch or the pool.  The fourth element is attempt
-    metadata: ``attempt`` (1-based), ``resumed_from`` (checkpoint cycle
-    or None), ``checkpoint_cycle`` for drained tasks and, for
-    deadlocks, the diagnostic ``dump``."""
+    ('error'|'timeout'|'oom', message) so one bad cell cannot take down
+    the batch or the pool.  Every attempt simulates the cell from cycle
+    zero.  The fourth element is attempt metadata: ``attempt``
+    (1-based) and, for deadlocks, the diagnostic ``dump``."""
+    # deferred import: repro.sim.runner imports this module
+    from repro.sim.runner import run_simulation
     global CURRENT_ATTEMPT
     CURRENT_ATTEMPT = attempt
-    meta: Dict = {"attempt": attempt, "resumed_from": None}
+    meta: Dict = {"attempt": attempt}
     try:
         with _task_alarm(timeout_s):
-            result = _simulate(config, workload, meta,
-                               checkpoint_path, checkpoint_interval,
-                               resume, drain_flag)
+            result = run_simulation(config, workload)
         return (label, "ok", result, meta)
     except _TaskTimeout:
         return (label, "timeout", f"exceeded {timeout_s}s", meta)
-    except _TaskDrained as drained:
-        meta["checkpoint_cycle"] = drained.cycle
-        return (label, "drained",
-                f"paused by drain at cycle {drained.cycle}", meta)
     except MemoryError:
         return (label, "oom",
                 "worker exhausted its memory ceiling (RLIMIT_AS)", meta)
@@ -518,15 +416,13 @@ class Executor:
     * retries transient failures: timed-out tasks up to ``retries``
       extra attempts, and tasks interrupted by a dying worker (SIGKILL,
       OOM) at least once, with capped exponential backoff between retry
-      rounds — resuming from the task's rolling checkpoint when a
-      ``checkpoint_dir`` is configured;
+      rounds — each retry starts the cell afresh from cycle zero;
     * recovers from a broken process pool by building a fresh pool for
       the next round, and degrades to in-process serial execution after
       ``pool_failure_limit`` consecutive breaks;
     * is deterministic: the returned mapping depends only on the tasks,
       never on ``jobs``, completion order, or how many faults were
-      healed along the way (a resumed run is bit-identical to a fresh
-      one — see ``repro.sim.checkpoint``).
+      healed along the way.
     """
 
     def __init__(self, jobs: int = 1, timeout_s: Optional[float] = None,
@@ -534,10 +430,7 @@ class Executor:
                  retries: int = 0, backoff_s: float = 0.05,
                  backoff_cap_s: float = 2.0,
                  pool_failure_limit: int = 3,
-                 checkpoint_dir: Optional[str] = None,
-                 checkpoint_interval: Optional[int] = None,
-                 worker_memory_mb: Optional[int] = None,
-                 drain_flag: Optional[str] = None) -> None:
+                 worker_memory_mb: Optional[int] = None) -> None:
         if jobs < 1:
             raise ValueError("jobs must be >= 1")
         if retries < 0:
@@ -553,14 +446,9 @@ class Executor:
         self.backoff_s = backoff_s
         self.backoff_cap_s = backoff_cap_s
         self.pool_failure_limit = pool_failure_limit
-        self.checkpoint_dir = checkpoint_dir
-        self.checkpoint_interval = checkpoint_interval
         #: Off by default.  Applied as RLIMIT_AS inside pool workers
         #: only; the serial path never caps the embedding process.
         self.worker_memory_mb = worker_memory_mb
-        #: Cooperative-drain flag file: when it exists, checkpointing
-        #: tasks pause at the next checkpoint boundary ("drained").
-        self.drain_flag = drain_flag
         self._pool_breaks = 0
         self._degraded = False
 
@@ -569,11 +457,10 @@ class Executor:
 
         An interruption (the worker died under the task) is always worth
         one retry even at ``retries=0``: the task itself did nothing
-        wrong, and a checkpoint may make the retry nearly free.  An OOM
-        under a worker memory ceiling is treated the same way — the
-        ceiling is an environmental policy, and a retry resuming from a
-        checkpoint taken before the blow-up can finish within it.  Plain
-        errors are deterministic — retrying replays the same exception.
+        wrong.  An OOM under a worker memory ceiling is treated the same
+        way — the ceiling is an environmental policy, and a fresh worker
+        may finish within it.  Plain errors are deterministic — retrying
+        replays the same exception.
         """
         if status in ("interrupted", "oom"):
             return max(self.retries, 1)
@@ -585,13 +472,6 @@ class Executor:
         return min(self.backoff_cap_s,
                    self.backoff_s * (2 ** (round_index - 1)))
 
-    def _checkpoint_args(self, key: str
-                         ) -> Tuple[Optional[str], Optional[int]]:
-        if self.checkpoint_dir is None:
-            return None, None
-        path = os.path.join(self.checkpoint_dir, f"{key}.ckpt")
-        return path, self.checkpoint_interval
-
     def run_tasks(self, tasks: Iterable[Task],
                   cache: Optional["ExperimentCache"] = None,
                   ) -> ExecutorOutcome:
@@ -599,11 +479,9 @@ class Executor:
         cache = cache if cache is not None else self.cache
         stats = {"tasks": len(tasks), "cache_hits": 0, "simulated": 0,
                  "deduplicated": 0, "failed": 0, "retries": 0,
-                 "resumed": 0, "pool_rebuilds": 0, "degraded_serial": 0,
-                 "drained": 0}
+                 "pool_rebuilds": 0, "degraded_serial": 0}
         results: Dict[str, SimResult] = {}
         failures: List[TaskFailure] = []
-        drained: Dict[str, int] = {}
         # resolve cache hits and deduplicate identical experiments
         pending: Dict[str, Task] = {}       # key -> representative task
         by_key: Dict[str, List[Task]] = {}  # key -> every task wanting it
@@ -635,8 +513,6 @@ class Executor:
             retry_round: Dict[str, Task] = {}
             for key, outcome in self._execute(remaining, attempt, stats):
                 label, status, payload, meta = outcome
-                if meta.get("resumed_from") is not None:
-                    stats["resumed"] += 1
                 if status == "ok":
                     stats["simulated"] += 1
                     if cache is not None:
@@ -644,14 +520,6 @@ class Executor:
                         cache.insert(task.config, task.workload, payload)
                     for waiting in by_key[key]:
                         results[waiting.label] = payload
-                elif status == "drained":
-                    # not a failure: the task paused at a checkpoint
-                    # boundary because a drain was requested; the caller
-                    # resubmits it with resume=True
-                    stats["drained"] += 1
-                    cycle = meta.get("checkpoint_cycle", 0)
-                    for waiting in by_key[key]:
-                        drained[waiting.label] = cycle
                 elif attempt[key] <= self._retry_budget(status):
                     stats["retries"] += 1
                     attempt[key] += 1
@@ -667,7 +535,7 @@ class Executor:
                             attempts=attempt[key],
                             dump=meta.get("dump")))
             remaining = retry_round
-        return ExecutorOutcome(results, failures, stats, drained)
+        return ExecutorOutcome(results, failures, stats)
 
     def _execute(self, pending: Dict[str, Task],
                  attempt: Dict[str, int], stats: Dict[str, int]):
@@ -689,11 +557,9 @@ class Executor:
 
         if self.jobs == 1 or self._degraded:
             for key, task in pending.items():
-                path, interval = self._checkpoint_args(key)
                 yield key, _run_task(task.label, task.config,
                                      task.workload, timeout_of(task),
-                                     attempt[key], path, interval,
-                                     task.resume, self.drain_flag)
+                                     attempt[key])
             return
         broken = False
         with ProcessPoolExecutor(max_workers=self.jobs,
@@ -701,11 +567,9 @@ class Executor:
                                  initargs=(self.worker_memory_mb,)) as pool:
             futures = {}
             for key, task in pending.items():
-                path, interval = self._checkpoint_args(key)
                 futures[key] = pool.submit(
                     _run_task, task.label, task.config, task.workload,
-                    timeout_of(task), attempt[key], path, interval,
-                    task.resume, self.drain_flag)
+                    timeout_of(task), attempt[key])
             for key, future in futures.items():
                 task = pending[key]
                 try:

@@ -32,10 +32,10 @@ def run_simulation(config: SystemConfig, workload: Workload,
 def collect_result(system: System) -> SimResult:
     """Assemble the ``SimResult`` of a completed system.
 
-    Split from ``run_simulation`` so a run resumed from a checkpoint
-    (``repro.sim.checkpoint``) collects its results through exactly the
-    same code as an uninterrupted one — the bit-identity the resume
-    tests assert is of *this* function's output.
+    Split from ``run_simulation`` so a run paused and continued with
+    ``System.run(stop_cycle=...)`` collects its results through exactly
+    the same code as an uninterrupted one — the bit-identity the
+    pause/continue tests assert is of *this* function's output.
     """
     config = system.config
     workload = system.workload
@@ -189,3 +189,48 @@ def scheme_config(label: str, base: SystemConfig) -> SystemConfig:
                          f"one of {sorted(grid)}")
     defense, threat, pin = grid[label]
     return base.with_defense(defense, threat, pin)
+
+
+def build_cell(workload_name: str, instructions: int, threads: int,
+               scheme: str) -> Tuple[SystemConfig, Workload]:
+    """Deterministically build one (config, workload) cell from names.
+
+    The single source of truth for turning CLI-level cell names into
+    simulator objects: ``repro run`` and the chaos campaign resolve
+    cells through here.  An ``attack:<class>:s<secret>:seed<k>`` name
+    is a fixed-content adversarial trace (``repro.security.attacks``):
+    the name pins everything, so ``instructions`` and ``threads`` do not
+    apply.  Raises ``ValueError`` for an unknown workload or scheme and
+    for a malformed attack name.
+    """
+    # deferred imports: repro.workloads.calibrate imports this module
+    from repro.security.attacks import attack_cell
+    from repro.workloads import (PARALLEL_NAMES, SPEC17_NAMES,
+                                 parallel_workload, spec17_workload)
+    if workload_name.startswith("attack:"):
+        parts = workload_name.split(":")
+        usage = ("attack workload names look like "
+                 "'attack:<class>:s<0|1>:seed<k>'")
+        if len(parts) != 4 or not parts[2].startswith("s") \
+                or not parts[3].startswith("seed"):
+            raise ValueError(f"malformed workload {workload_name!r}; "
+                             f"{usage}")
+        try:
+            secret = int(parts[2][1:])
+            seed = int(parts[3][len("seed"):])
+        except ValueError:
+            raise ValueError(f"malformed workload {workload_name!r}; "
+                             f"{usage}") from None
+        return attack_cell(parts[1], secret, seed, scheme)
+    if workload_name in SPEC17_NAMES:
+        base = SystemConfig()
+        workload = spec17_workload(workload_name,
+                                   instructions=instructions)
+    elif workload_name in PARALLEL_NAMES:
+        workload = parallel_workload(workload_name, num_threads=threads,
+                                     instructions_per_thread=instructions)
+        base = SystemConfig(num_cores=threads)
+    else:
+        raise ValueError(f"unknown workload {workload_name!r}; "
+                         f"see `repro workloads`")
+    return scheme_config(scheme, base), workload

@@ -95,26 +95,14 @@ class System:
         # and chaos wrappers above are in place
         self._engine = None
 
-    def __getstate__(self):
-        # the engine is a web of closures over live component state —
-        # derived, unpicklable, and cheap to recompile after a restore
-        state = self.__dict__.copy()
-        state.pop("_engine", None)
-        return state
-
-    def __setstate__(self, state) -> None:
-        self.__dict__.update(state)
-        self._engine = None
-
     def run(self, max_cycles: int = 50_000_000,
             stop_cycle: Optional[int] = None) -> int:
         """Run to completion of every trace; returns the cycle reached.
 
         ``stop_cycle`` pauses the run once that cycle has been simulated
-        (instead of running to completion) so a checkpoint can be taken
-        (``repro.sim.checkpoint``); calling ``run`` again resumes from
-        ``self.cycles`` and the stitched run is bit-identical to an
-        uninterrupted one.
+        (instead of running to completion), e.g. to inspect the machine
+        mid-run; calling ``run`` again continues from ``self.cycles``
+        and the stitched run is bit-identical to an uninterrupted one.
 
         Every configuration runs on the struct-of-arrays engine
         (``repro.sim.engine``), sanitized, transient and InvisiSpec

@@ -14,9 +14,8 @@ Three independent passes, surfaced through ``python -m repro verify``:
   simulation-determinism hazards and type-hint defects.
 * :mod:`repro.verify.passes` — the multi-pass static analysis framework
   (``repro verify analyze``): the lint plus the wakeup-contract,
-  checkpoint-safety, determinism, service-taxonomy, and
-  event-discipline passes, with unified waivers, a committed baseline,
-  and a JSON report.
+  determinism, and event-discipline passes, with unified waivers, a
+  committed baseline, and a JSON report.
 
 Every protocol or pinning change must keep ``repro verify model`` and
 ``repro verify analyze`` green; see ``docs/verification.md``.

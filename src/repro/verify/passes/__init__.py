@@ -2,19 +2,16 @@
 
 The simulator's soundness rests on contracts no runtime test checks on
 every path: the wakeup dirty-bit protocol behind the event-driven
-fast-forward, the versioned pickle-state shape behind crash-tolerant
-resume, determinism of results in (config, workload, seed), the
-service's documented error taxonomy, and the rule that chaos faults
-fire only from the event stream.  Each contract gets a dedicated AST
-pass; the shared driver owns discovery, waivers, baselining, and the
-JSON report.  See ``docs/verification.md`` for the pass catalog.
+fast-forward, determinism of results in (config, workload, seed), and
+the rule that chaos faults fire only from the event stream.  Each
+contract gets a dedicated AST pass; the shared driver owns discovery,
+waivers, baselining, and the JSON report.  See
+``docs/verification.md`` for the pass catalog.
 """
 
 from repro.verify.passes.base import (AnalysisPass, Finding, PassContext,
                                       SourceFile, canonical_path,
                                       package_of)
-from repro.verify.passes.checkpoint_state import (CheckpointSafetyPass,
-                                                  write_manifest)
 from repro.verify.passes.determinism import DeterminismPass
 from repro.verify.passes.driver import (ALL_PASSES, Report, analyze_paths,
                                         analyze_sources,
@@ -22,14 +19,12 @@ from repro.verify.passes.driver import (ALL_PASSES, Report, analyze_paths,
                                         registered_rules, write_baseline)
 from repro.verify.passes.event_discipline import EventDisciplinePass
 from repro.verify.passes.lint_pass import LintPass
-from repro.verify.passes.service_contracts import ServiceTaxonomyPass
 from repro.verify.passes.wakeup import WakeupContractPass
 
 __all__ = [
-    "ALL_PASSES", "AnalysisPass", "CheckpointSafetyPass",
-    "DeterminismPass", "EventDisciplinePass", "Finding", "LintPass",
-    "PassContext", "Report", "ServiceTaxonomyPass", "SourceFile",
-    "WakeupContractPass", "analyze_paths", "analyze_sources",
-    "canonical_path", "default_baseline_path", "package_of",
-    "registered_rules", "write_baseline", "write_manifest",
+    "ALL_PASSES", "AnalysisPass", "DeterminismPass",
+    "EventDisciplinePass", "Finding", "LintPass", "PassContext",
+    "Report", "SourceFile", "WakeupContractPass", "analyze_paths",
+    "analyze_sources", "canonical_path", "default_baseline_path",
+    "package_of", "registered_rules", "write_baseline",
 ]

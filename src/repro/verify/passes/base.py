@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Union
 
@@ -133,18 +133,6 @@ class PassContext:
     """Everything a pass may need beyond the file list."""
 
     files: List[SourceFile]
-    #: directory holding committed data files (state manifest); passes
-    #: must treat it as read-only — updates go through the CLI flags.
-    data_dir: Path = field(default_factory=lambda: Path(__file__).parent)
-    #: overrides for data files (tests point these at tmp copies)
-    manifest_path: Optional[Path] = None
-
-    def by_canonical(self, suffix: str) -> Optional[SourceFile]:
-        """The analyzed file whose canonical path ends with ``suffix``."""
-        for file in self.files:
-            if file.canonical.endswith(suffix):
-                return file
-        return None
 
 
 class AnalysisPass:

@@ -6,7 +6,7 @@ set-iteration) with the hazards that slipped past it in review:
 * ``env-read`` — any ``os.environ`` access (subscript, ``.get``,
   passing the mapping around) or ``os.getenv`` inside simulation code
   makes a "pure" run depend on the invoking shell.  Environment reads
-  belong at process entry points (CLI, service); the sim-side
+  belong at process entry points (the CLI); the sim-side
   exceptions (cache *location*, subprocess env construction) carry
   explicit waivers.
 * ``id-ordering`` — ``id()`` values are allocation addresses; keying,

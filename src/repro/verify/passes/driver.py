@@ -25,11 +25,9 @@ from repro.verify.passes.base import (AnalysisPass, Finding, PassContext,
                                       SEVERITY_ERROR, SEVERITY_WARNING,
                                       SourceFile, assign_fingerprints,
                                       load_sources)
-from repro.verify.passes.checkpoint_state import CheckpointSafetyPass
 from repro.verify.passes.determinism import DeterminismPass
 from repro.verify.passes.event_discipline import EventDisciplinePass
 from repro.verify.passes.lint_pass import LintPass
-from repro.verify.passes.service_contracts import ServiceTaxonomyPass
 from repro.verify.passes.waivers import (WAIVER_PASS_NAME, WAIVER_RULES,
                                          apply_waivers)
 from repro.verify.passes.wakeup import WakeupContractPass
@@ -38,8 +36,8 @@ BASELINE_FILENAME = "baseline.json"
 REPORT_VERSION = 1
 
 #: registration order is presentation order
-ALL_PASSES = (LintPass, WakeupContractPass, CheckpointSafetyPass,
-              DeterminismPass, ServiceTaxonomyPass, EventDisciplinePass)
+ALL_PASSES = (LintPass, WakeupContractPass, DeterminismPass,
+              EventDisciplinePass)
 
 #: synthetic driver-level findings
 DRIVER_RULES = {"parse-error": "every analyzed file must parse"}
@@ -167,13 +165,10 @@ def _make_passes(only: Optional[Sequence[str]]) -> List[AnalysisPass]:
 def analyze_sources(files: List[SourceFile],
                     passes: Optional[Sequence[str]] = None,
                     baseline_path: Optional[Union[str, Path]] = None,
-                    manifest_path: Optional[Union[str, Path]] = None,
                     paths: Optional[List[str]] = None) -> Report:
     """Run the framework over already-loaded sources."""
     active = _make_passes(passes)
     ctx = PassContext(files=files)
-    if manifest_path is not None:
-        ctx.manifest_path = Path(manifest_path)
     findings: List[Finding] = []
     for file in files:
         if file.parse_error is not None:
@@ -212,11 +207,9 @@ def analyze_sources(files: List[SourceFile],
 
 def analyze_paths(paths: Iterable[Union[str, Path]],
                   passes: Optional[Sequence[str]] = None,
-                  baseline_path: Optional[Union[str, Path]] = None,
-                  manifest_path: Optional[Union[str, Path]] = None
+                  baseline_path: Optional[Union[str, Path]] = None
                   ) -> Report:
     """Discover, parse, and analyze every ``.py`` file under ``paths``."""
     path_list = [str(p) for p in paths]
     return analyze_sources(load_sources(path_list), passes=passes,
-                           baseline_path=baseline_path,
-                           manifest_path=manifest_path, paths=path_list)
+                           baseline_path=baseline_path, paths=path_list)

@@ -1,6 +1,6 @@
 """event-discipline: time moves only through the EventQueue.
 
-Two invariants keep chaos runs bit-reproducible and checkpointable:
+Two invariants keep chaos runs bit-reproducible:
 
 * ``direct-cycle-write`` — simulated time (``EventQueue.now``,
   ``System.cycles``, ``Core.cycle``) is advanced by the run loops and
@@ -12,8 +12,8 @@ Two invariants keep chaos runs bit-reproducible and checkpointable:
   must fire from an ``EventQueue``-scheduled callback or a registered
   memory-system hook, never synchronously from arbitrary code.  A
   mutation outside the event stream has no deterministic position in
-  the cycle-accurate interleaving (and never lands in a checkpoint's
-  pending-event heap), so the same seed stops reproducing the same run.
+  the cycle-accurate interleaving, so the same seed stops reproducing
+  the same run.
 
 Coverage for the chaos rule mirrors the wakeup pass: a function is
 disciplined if its bound-method name is handed to ``schedule``/

@@ -45,8 +45,7 @@ from repro.verify.passes.callgraph import CallGraph, FunctionNode
 WAKE_SCOPED_PACKAGES = {"core", "mem", "pinning", "security"}
 
 #: scalar attributes whose assignment can move a core's wake condition
-#: (``_vp_candidates`` is the counter that gates the specialized VP walk
-#: — it replaced the old ``_vp_frontier`` dict in checkpoint format 4)
+#: (``_vp_candidates`` is the counter that gates the specialized VP walk)
 WAKE_SCALAR_ATTRS = {"mcv_safe", "pinned", "vp_cycle", "parked",
                      "_vp_candidates"}
 

@@ -1,22 +1,20 @@
 """The adversarial attack suite: generator determinism, the leakage
 oracle's verdicts against the expected table, the mutant self-tests
-(an oracle that cannot detect a weakened defense is theater), and the
-campaign's bit-identity across seeds, ``--jobs``, and service routing.
+(an oracle that cannot detect a weakened defense is theater), the
+campaign's bit-identity across seeds and ``--jobs``, and how
+``build_cell`` resolves ``attack:...`` workload names.
 """
-
-import threading
 
 import pytest
 
-from repro.common.errors import BadRequestError
 from repro.security.attacks import (ATTACK_CLASSES, attack_cell,
                                     attack_cores, attack_workload)
 from repro.security.campaign import (all_scheme_names, expected_verdict,
                                      format_report, matrix_artifact,
                                      run_campaign)
 from repro.security.oracle import CHANNELS, leakage_probe
-from repro.service.jobs import JobSpec, build_cell
 from repro.sim.executor import cache_key
+from repro.sim.runner import build_cell
 
 
 class TestAttackGenerator:
@@ -183,13 +181,12 @@ class TestCampaign:
 
 
 class TestAttackCheckpointRoundTrip:
-    """Format-5 checkpoints restore the transient machinery: a run of
-    an adversarial trace snapshotted mid-flight finishes bit-identical
-    to an uninterrupted one (twin uops are persistent ids in the
-    externalized immutable graph)."""
+    """The transient machinery survives a pause: a run of an
+    adversarial trace stopped with ``run(stop_cycle=...)`` inside the
+    speculation window and continued on the same object finishes
+    bit-identical to an uninterrupted one."""
 
     def test_snapshot_mid_transient_restores_bit_identical(self):
-        from repro.sim.checkpoint import restore_system, snapshot_system
         from repro.sim.runner import collect_result
         from repro.sim.system import System
         config, workload = attack_cell("prime_probe", 1, 0, "unsafe")
@@ -201,12 +198,12 @@ class TestAttackCheckpointRoundTrip:
         paused.mem.warm(workload)
         paused.run(stop_cycle=60)  # inside the speculation window
         assert not paused.done
-        resumed = restore_system(snapshot_system(paused))
-        resumed.run()
-        assert collect_result(resumed).to_dict() == expected
+        assert paused.cycles == 60
+        paused.run()
+        assert collect_result(paused).to_dict() == expected
 
 
-class TestServiceCellNames:
+class TestBuildCell:
     def test_build_cell_resolves_attack_names(self):
         config, workload = build_cell("attack:lru_probe:s1:seed2",
                                       1, 1, "dom-comp")
@@ -216,62 +213,18 @@ class TestServiceCellNames:
             == cache_key(direct_config, direct)
 
     def test_instructions_and_threads_do_not_change_identity(self):
-        spec_a = JobSpec(workload="attack:prime_probe:s0:seed0",
-                         scheme="unsafe", instructions=100, threads=1)
-        spec_b = JobSpec(workload="attack:prime_probe:s0:seed0",
-                         scheme="unsafe", instructions=9000, threads=4)
-        assert spec_a.job_id() == spec_b.job_id()
+        name = "attack:prime_probe:s0:seed0"
+        assert cache_key(*build_cell(name, 100, 1, "unsafe")) \
+            == cache_key(*build_cell(name, 9000, 4, "unsafe"))
 
-    def test_malformed_attack_names_are_bad_requests(self):
+    def test_malformed_attack_names_raise_value_error(self):
         for name in ("attack:prime_probe", "attack:prime_probe:s2:seed0",
                      "attack:prime_probe:sX:seed0",
                      "attack:prime_probe:s0:seedX",
                      "attack:nosuch:s0:seed0"):
-            with pytest.raises(BadRequestError):
+            with pytest.raises(ValueError):
                 build_cell(name, 1, 1, "unsafe")
-        with pytest.raises(BadRequestError, match="unknown scheme"):
+        with pytest.raises(ValueError, match="unknown scheme"):
             build_cell("attack:prime_probe:s0:seed0", 1, 1, "nosuch")
-
-
-class TestServiceRoutedCampaign:
-    """Oracle cells routed through a live ``repro serve`` are
-    content-addressed — the same campaign resubmitted hits the
-    supervisor's idempotency path instead of re-simulating."""
-
-    @pytest.fixture()
-    def service(self, tmp_path):
-        from repro.service.server import ServiceServer
-        from repro.service.supervisor import Supervisor
-        supervisor = Supervisor(str(tmp_path / "service"), jobs=1,
-                                fsync=False, heartbeat_s=0.02)
-        server = ServiceServer(("127.0.0.1", 0), supervisor)
-        thread = threading.Thread(target=server.serve_forever,
-                                  kwargs={"poll_interval": 0.05},
-                                  daemon=True)
-        thread.start()
-        supervisor.start()
-        url = f"http://127.0.0.1:{server.server_address[1]}"
-        try:
-            yield supervisor, url
-        finally:
-            server.shutdown()
-            server.server_close()
-            supervisor.drain(wait=True, timeout_s=10.0)
-            supervisor.close()
-
-    def test_service_routed_cells_match_and_cache(self, service):
-        supervisor, url = service
-        kwargs = dict(scheme_names=["unsafe", "stt-comp"],
-                      attack_names=["secret_reg"], seeds=1)
-        routed = run_campaign(service_url=url, **kwargs)
-        assert routed["passed"], routed["failures"]
-        assert routed["service_url"] == url
-        local = run_campaign(**kwargs)
-        assert matrix_artifact(routed) == matrix_artifact(local)
-        # resubmission of the identical campaign: every cell is already
-        # journaled + stored, so the service answers from its result
-        # store without running a single new simulation
-        before = supervisor.counters["idempotent_hits"]
-        again = run_campaign(service_url=url, **kwargs)
-        assert again["passed"]
-        assert supervisor.counters["idempotent_hits"] >= before + 4
+        with pytest.raises(ValueError, match="unknown scheme"):
+            build_cell("mcf_r", 1, 1, "nosuch")

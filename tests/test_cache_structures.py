@@ -1,7 +1,6 @@
 """Cache arrays, replacement (with pinned-victim denial), MSHRs, write
 buffer — the structures underpinning §5.1.3 and §5.1.2."""
 
-import pickle
 import random
 
 import pytest
@@ -189,22 +188,6 @@ class TestSparseSets:
             with pytest.raises(KeyError):
                 cache.set_state(1, LineState.MODIFIED)
         assert never._sets == {}
-
-    def test_pickle_round_trip_keeps_lru_order(self):
-        cache = _array(sets=8, ways=4)
-        for line in (5, 13, 3, 11, 19):      # sets 5, 5, 3, 3, 3
-            cache.fill(line, SHARED)
-        cache.lookup(3)                      # set 3: 11, 19, 3
-        cache.fill(6, LineState.EXCLUSIVE)
-        cache.invalidate(6)                  # set 6 filled, now empty
-        state = cache.__getstate__()
-        assert [index for index, _ in state["occupied"]] == [3, 5]
-        restored = pickle.loads(pickle.dumps(cache))
-        assert sorted(restored._sets) == [3, 5]
-        assert list(restored.resident_lines(3)) == [11, 19, 3]
-        assert list(restored.resident_lines(5)) == [5, 13]
-        assert restored.occupancy() == 5
-        assert restored.pick_victim(27) == 11
 
 
 class TestMSHRFile:

@@ -1,7 +1,6 @@
 """Exit codes are part of the CLI contract: 0 only on full success,
 nonzero on any failure — so CI jobs and scripts can gate on them
-without parsing output.  Also covers ``repro chaos --json`` and the new
-``serve``/``submit`` argument surfaces."""
+without parsing output.  Also covers ``repro chaos --json``."""
 
 import json
 
@@ -14,20 +13,18 @@ class TestChaosExitCodes:
     def test_passing_campaign_exits_zero_and_emits_json(self, capsys):
         rc = main(["chaos", "--seeds", "1", "--workloads", "mcf_r",
                    "--schemes", "unsafe", "--instructions", "600",
-                   "--threads", "1", "--no-checkpoint-check", "--json"])
+                   "--threads", "1", "--json"])
         assert rc == 0
         report = json.loads(capsys.readouterr().out)
         assert report["passed"] is True
         assert report["schemes"] == ["unsafe"]
-        assert report["service_url"] is None
         assert report["cells"][0]["seed_runs"][0]["ok"] is True
 
     def test_json_report_matches_out_file(self, capsys, tmp_path):
         out = tmp_path / "report.json"
         rc = main(["chaos", "--seeds", "1", "--workloads", "mcf_r",
                    "--schemes", "unsafe", "--instructions", "600",
-                   "--threads", "1", "--no-checkpoint-check", "--json",
-                   "--out", str(out)])
+                   "--threads", "1", "--json", "--out", str(out)])
         assert rc == 0
         stdout_report = json.loads(capsys.readouterr().out)
         assert json.loads(out.read_text()) == stdout_report
@@ -42,7 +39,7 @@ class TestChaosExitCodes:
     def test_unknown_workload_exits_nonzero(self):
         with pytest.raises(SystemExit, match="unknown workload"):
             main(["chaos", "--seeds", "1", "--workloads", "nosuch_r",
-                  "--schemes", "unsafe", "--no-checkpoint-check"])
+                  "--schemes", "unsafe"])
 
 
 class TestAttackExitCodes:
@@ -182,31 +179,3 @@ class TestAnalyzeExitCodes:
               "--out", str(out)])
         stdout_doc = json.loads(capsys.readouterr().out)
         assert json.loads(out.read_text()) == stdout_doc
-
-
-class TestSubmitExitCodes:
-    def test_invalid_spec_rejected_before_any_network(self):
-        with pytest.raises(SystemExit, match="unknown workload"):
-            main(["submit", "nosuch_r"])
-        with pytest.raises(SystemExit, match="unknown scheme"):
-            main(["submit", "mcf_r", "--scheme", "nosuch"])
-        with pytest.raises(SystemExit):
-            main(["submit", "mcf_r", "--chaos", "{not json"])
-
-    def test_unreachable_service_is_exit_one(self, capsys, monkeypatch):
-        # shrink the client's retry schedule so the failure is quick
-        from repro.service import client as client_mod
-        monkeypatch.setattr(
-            client_mod.ServiceClient, "__init__",
-            lambda self, base_url="", **_kw: (
-                setattr(self, "base_url", base_url.rstrip("/")),
-                setattr(self, "retries", 0),
-                setattr(self, "backoff_s", 0.01),
-                setattr(self, "backoff_cap_s", 0.01),
-                setattr(self, "timeout_s", 1.0),
-                setattr(self, "_rng", __import__("random").Random(0)),
-            ) and None)
-        rc = main(["submit", "mcf_r", "--url", "http://127.0.0.1:9",
-                   "--instructions", "300"])
-        assert rc == 1
-        assert "repro submit" in capsys.readouterr().err

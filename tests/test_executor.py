@@ -371,18 +371,17 @@ class TestAlarmLifecycle:
 
 
 class TestWorkerCrashIsolation:
-    def test_sigkilled_worker_retried_and_sibling_survives(self, tmp_path):
+    def test_sigkilled_worker_retried_and_sibling_survives(self):
         """SIGKILL one pool worker mid-batch: the batch still returns
-        every result — the killed task resumes from its rolling
-        checkpoint on retry, the pool is rebuilt, and nothing raises."""
+        every result — the killed task is retried from cycle zero on a
+        rebuilt pool, its result equals the serial one, and nothing
+        raises."""
         import dataclasses
         crash = dataclasses.replace(
             BASE, chaos=_quiet_chaos(crash_at_cycle=400, crash_attempts=1))
         tasks = [Task("crashy", crash, small_workload()),
                  Task("solid", BASE, small_workload("leela_r"))]
-        executor = Executor(jobs=2, retries=1,
-                            checkpoint_dir=str(tmp_path),
-                            checkpoint_interval=150)
+        executor = Executor(jobs=2, retries=1)
         outcome = executor.run_tasks(tasks)
         assert not outcome.failures
         assert set(outcome.results) == {"crashy", "solid"}
@@ -393,15 +392,13 @@ class TestWorkerCrashIsolation:
         assert outcome.results["solid"].to_dict() \
             == run_simulation(BASE, small_workload("leela_r")).to_dict()
 
-    def test_exhausted_crash_budget_is_a_task_failure(self, tmp_path):
+    def test_exhausted_crash_budget_is_a_task_failure(self):
         """A worker that dies on every attempt ends as a TaskFailure of
         kind 'interrupted' — run_tasks never raises."""
         import dataclasses
         crash = dataclasses.replace(
             BASE, chaos=_quiet_chaos(crash_at_cycle=400, crash_attempts=99))
         outcome = Executor(jobs=2, retries=1,
-                           checkpoint_dir=str(tmp_path),
-                           checkpoint_interval=150,
                            pool_failure_limit=99).run_tasks(
             [Task("doomed", crash, small_workload())])
         assert outcome.results == {}
@@ -409,7 +406,7 @@ class TestWorkerCrashIsolation:
         assert outcome.failures[0].kind == "interrupted"
         assert outcome.failures[0].attempts >= 2
 
-    def test_unhealthy_pool_degrades_to_serial(self, tmp_path):
+    def test_unhealthy_pool_degrades_to_serial(self):
         """When the pool keeps dying, the executor falls back to serial
         in-process execution and the whole batch still completes.
         (Process-fault injection is gated to pool workers, so the
@@ -421,8 +418,6 @@ class TestWorkerCrashIsolation:
         tasks = [Task("doomed", crash, small_workload()),
                  Task("solid", BASE, small_workload("leela_r"))]
         outcome = Executor(jobs=2, retries=2,
-                           checkpoint_dir=str(tmp_path),
-                           checkpoint_interval=150,
                            pool_failure_limit=1).run_tasks(tasks)
         assert not outcome.failures
         assert set(outcome.results) == {"doomed", "solid"}
@@ -431,22 +426,19 @@ class TestWorkerCrashIsolation:
             == run_simulation(crash, small_workload()).to_dict()
 
 
-class TestTimeoutRetryFromCheckpoint:
-    def test_timed_out_task_resumes_and_matches_serial(self, tmp_path):
+class TestTimeoutRetry:
+    def test_timed_out_task_retries_and_matches_serial(self):
         """Acceptance: a task that times out (injected wall-clock stall)
-        is retried, resumes from its rolling checkpoint, and produces a
-        result bit-identical to an unfaulted serial run."""
+        is retried from cycle zero and produces a result bit-identical
+        to an unfaulted serial run."""
         import dataclasses
         stall = dataclasses.replace(
             BASE, chaos=_quiet_chaos(stall_at_cycle=400, stall_seconds=30.0,
                                      stall_attempts=1))
         task = Task("stall", stall, small_workload(), timeout_s=2)
-        outcome = Executor(jobs=2, retries=1,
-                           checkpoint_dir=str(tmp_path),
-                           checkpoint_interval=150).run_tasks([task])
+        outcome = Executor(jobs=2, retries=1).run_tasks([task])
         assert not outcome.failures
         assert outcome.stats["retries"] == 1
-        assert outcome.stats["resumed"] >= 1
         serial = run_simulation(stall, small_workload())
         assert outcome.results["stall"].to_dict() == serial.to_dict()
 
@@ -505,18 +497,17 @@ class TestWorkerMemoryCeiling:
         if not hasattr(resource, "RLIMIT_AS"):
             pytest.skip("platform has no RLIMIT_AS")
 
-    def test_oom_is_retried_and_recovers(self, tmp_path):
+    def test_oom_is_retried_and_recovers(self):
         """The chaos alloc fault (16 GiB ballast) trips the 2 GiB worker
-        ceiling on attempt 1; attempt 2 runs clean (the fault is
-        attempt-gated) and resumes from the rolling checkpoint."""
+        ceiling on attempt 1; attempt 2 runs clean from cycle zero (the
+        fault is attempt-gated) and its result equals the serial one."""
         import dataclasses
         self._needs_rlimit()
         hog = dataclasses.replace(
             BASE, chaos=_quiet_chaos(alloc_at_cycle=400, alloc_mb=16384,
                                      alloc_attempts=1))
-        outcome = Executor(jobs=2, retries=1, worker_memory_mb=2048,
-                           checkpoint_dir=str(tmp_path),
-                           checkpoint_interval=150).run_tasks(
+        outcome = Executor(jobs=2, retries=1,
+                           worker_memory_mb=2048).run_tasks(
             [Task("hog", hog, small_workload())])
         assert not outcome.failures
         assert outcome.stats["retries"] == 1
@@ -524,15 +515,14 @@ class TestWorkerMemoryCeiling:
         serial = run_simulation(hog, small_workload())
         assert outcome.results["hog"].to_dict() == serial.to_dict()
 
-    def test_persistent_hog_fails_as_oom(self, tmp_path):
+    def test_persistent_hog_fails_as_oom(self):
         self._needs_rlimit()
         import dataclasses
         hog = dataclasses.replace(
             BASE, chaos=_quiet_chaos(alloc_at_cycle=400, alloc_mb=16384,
                                      alloc_attempts=99))
-        outcome = Executor(jobs=2, retries=1, worker_memory_mb=2048,
-                           checkpoint_dir=str(tmp_path),
-                           checkpoint_interval=150).run_tasks(
+        outcome = Executor(jobs=2, retries=1,
+                           worker_memory_mb=2048).run_tasks(
             [Task("hog", hog, small_workload())])
         assert outcome.results == {}
         assert [f.label for f in outcome.failures] == ["hog"]

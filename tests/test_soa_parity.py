@@ -14,12 +14,12 @@ per-core pipeline *and* pinning statistics.  Attack pairs from
 
 More properties pin down the seams:
 
-* a snapshot taken mid-run under the engine must resume to the exact
-  same end state as an uninterrupted run — including one taken
-  mid-transient just after a guard resolved, where the rebuilt engine
-  must re-derive its twin view from the restored state;
-* every configuration builds an engine, and a restored system rebuilds
-  it lazily.
+* a run paused mid-way under the engine with ``run(stop_cycle=...)``
+  and continued on the same object must reach the exact end state of an
+  uninterrupted run — including a pause mid-transient just after a
+  guard resolved, while its wrong-path uops still wait to replay as NOP
+  twins;
+* every configuration builds an engine, and a finished run drops it.
 """
 
 import dataclasses
@@ -33,7 +33,6 @@ from repro.common.params import (DEFENSE_MUTATIONS, ChaosConfig,
                                  ThreatModel)
 from repro.security.attacks import ATTACK_CLASSES, attack_cores, \
     attack_workload
-from repro.sim.checkpoint import restore_system, snapshot_system
 from repro.sim.engine import SpecializedEngine
 from repro.sim.runner import collect_result, scheme_grid
 from repro.sim.system import System
@@ -157,6 +156,10 @@ class TestEngineMatchesReference:
 
 
 class TestCheckpointMidRun:
+    """Pause/continue under the engine: a run stopped with
+    ``run(stop_cycle=...)`` and continued by calling ``run`` again on
+    the same object ends exactly where an uninterrupted run does."""
+
     @SLOW
     @given(profile=PROFILES,
            seed=st.integers(min_value=1, max_value=50),
@@ -164,28 +167,31 @@ class TestCheckpointMidRun:
            fraction=st.floats(min_value=0.1, max_value=0.9))
     def test_snapshot_resume_bit_identity(self, profile, seed, label,
                                           fraction):
-        """A snapshot taken mid-run under the engine, restored into a
-        fresh process-local ``System``, must finish with exactly the
-        state an uninterrupted run reaches."""
+        """A run paused mid-way under the engine and continued on the
+        same object must finish with exactly the result an
+        uninterrupted run reaches."""
         workload = build_workload(profile, seed=seed,
                                   instructions_per_thread=250)
         config = CONFIGS[label]
         straight = _fresh(config, workload)
         total = straight.run()
         paused = _fresh(config, workload)
-        paused.run(stop_cycle=max(1, int(total * fraction)))
-        resumed = restore_system(snapshot_system(paused))
-        resumed.run()
-        _assert_indistinguishable(resumed, straight,
-                                  f"{label} seed={seed} f={fraction:.2f}")
+        stop = max(1, int(total * fraction))
+        paused.run(stop_cycle=stop)
+        assert not paused.done
+        assert paused.cycles == stop
+        paused.run()
+        assert collect_result(paused).to_dict() \
+            == collect_result(straight).to_dict(), \
+            f"{label} seed={seed} f={fraction:.2f}"
 
     @pytest.mark.parametrize("label", ["unsafe", "dom-ep", "invisi-comp"])
     @pytest.mark.parametrize("attack", ATTACK_CLASSES)
     def test_resume_after_guard_resolved(self, attack, label):
         """Pause at the first cycle a guard has resolved, while its
-        transient uops still wait to replay: the engine rebuilt after
-        the restore must read them as NOP twins, or the replay would
-        re-execute the wrong path."""
+        transient uops still wait to replay: the resumed run must
+        replay them as NOP twins, or it would re-execute the wrong
+        path."""
         workload = attack_workload(attack, 1, 0)
         config = _variant(label, num_cores=attack_cores(attack))
         straight = _fresh(config, workload)
@@ -203,9 +209,8 @@ class TestCheckpointMidRun:
             if any(uop.guard in core._resolved_mispredicts
                    and uop.index >= core._cursor for uop in core.trace)]
         assert replay_pending, "every neutered uop already replayed"
-        resumed = restore_system(snapshot_system(paused))
-        resumed.run()
-        assert collect_result(resumed).to_dict() == expected
+        paused.run()
+        assert collect_result(paused).to_dict() == expected
 
 
 class TestEveryConfigBuildsEngine:
@@ -231,13 +236,3 @@ class TestEveryConfigBuildsEngine:
         ref = _fresh(config, workload)
         ref.run_reference()
         _assert_indistinguishable(opt, ref, f"{label} sanitize={sanitize}")
-
-    def test_restored_system_rebuilds_engine_lazily(self):
-        """``__getstate__`` drops the compiled engine; the next ``run``
-        after a restore must rebuild it rather than crash."""
-        paused = _fresh(SCHEMES["dom-ep"], self._workload())
-        paused.run(stop_cycle=50)
-        resumed = restore_system(snapshot_system(paused))
-        assert resumed._engine is None
-        resumed.run(stop_cycle=60)
-        assert isinstance(resumed._engine, SpecializedEngine)

@@ -10,9 +10,7 @@ import time
 from pathlib import Path
 
 from repro.verify.passes import (Report, analyze_paths, canonical_path,
-                                 package_of, write_baseline,
-                                 write_manifest)
-from repro.verify.passes.base import load_sources
+                                 package_of, write_baseline)
 
 REPO = Path(__file__).resolve().parent.parent
 SRC = REPO / "src" / "repro"
@@ -219,110 +217,6 @@ class TestWakeupContractMutation:
         assert rules_of(report) == ["wakeup-rearm"]
 
 
-class TestCheckpointSafetyMutation:
-    """Seeded mutations: strip __slots__, change the state shape."""
-
-    def test_head_trace_module_is_clean(self, tmp_path):
-        root = copy_tree(tmp_path, "isa/trace.py")
-        report = analyze_clean([root], passes=["checkpoint-safety"])
-        assert report.findings == [], report.render_text()
-
-    def test_stripped_slots_is_flagged(self, tmp_path):
-        root = copy_tree(tmp_path, "isa/trace.py")
-        target = root / "isa" / "trace.py"
-        text = target.read_text().replace(
-            '    __slots__ = ("_uops", "name", "twins", "has_transient",\n'
-            '                 "probe_indices", "__weakref__")\n\n', "", 1)
-        assert "_uops" not in text.split("class Trace")[1] \
-            .split("def __init__")[0]
-        target.write_text(text)
-        report = analyze_clean([root], passes=["checkpoint-safety"])
-        assert any(f.rule == "checkpoint-slots" and "Trace" in f.message
-                   for f in report.findings), report.render_text()
-
-    def test_lambda_callback_is_flagged(self, tmp_path):
-        mod = tmp_path / "repro" / "core" / "mod.py"
-        mod.parent.mkdir(parents=True)
-        mod.write_text(
-            "class C:\n"
-            "    __slots__ = ('events',)\n"
-            "    def go(self):\n"
-            "        self.events.schedule_after(3, lambda: None)\n")
-        report = analyze_clean([tmp_path], passes=["checkpoint-safety"])
-        assert rules_of(report) == ["checkpoint-lambda"]
-
-    def test_os_resource_slot_is_flagged(self, tmp_path):
-        mod = tmp_path / "repro" / "common" / "mod.py"
-        mod.parent.mkdir(parents=True)
-        mod.write_text("class C:\n"
-                       "    __slots__ = ('_lock', 'value')\n")
-        report = analyze_clean([tmp_path], passes=["checkpoint-safety"])
-        assert rules_of(report) == ["pickle-unsafe-slot"]
-
-    def test_shape_change_without_version_bump_is_flagged(self,
-                                                          tmp_path):
-        root = copy_tree(tmp_path, "sim/checkpoint.py", "core/lsq.py")
-        manifest = tmp_path / "state_manifest.json"
-        write_manifest(load_sources([root]), manifest)
-        clean = analyze_clean([root], passes=["checkpoint-safety"],
-                              manifest_path=manifest)
-        assert clean.findings == [], clean.render_text()
-        lsq = root / "core" / "lsq.py"
-        lsq.write_text(lsq.read_text().replace(
-            '__slots__ = ("capacity", "_ring", "_qmask", "_head", "_tail")',
-            '__slots__ = ("capacity", "_ring", "_qmask", "_head", "_tail",\n'
-            '                 "_extra")', 1))
-        report = analyze_clean([root], passes=["checkpoint-safety"],
-                               manifest_path=manifest)
-        assert any(f.rule == "checkpoint-manifest"
-                   and "CHECKPOINT_FORMAT_VERSION" in f.message
-                   for f in report.findings), report.render_text()
-
-    def test_snapshot_layout_drift_without_bump_is_flagged(self,
-                                                           tmp_path):
-        # format-3 contract: editing an array-backed __getstate__ body
-        # is a manifest change even though __slots__ is untouched
-        root = copy_tree(tmp_path, "sim/checkpoint.py", "mem/cache.py")
-        manifest = tmp_path / "state_manifest.json"
-        write_manifest(load_sources([root]), manifest)
-        clean = analyze_clean([root], passes=["checkpoint-safety"],
-                              manifest_path=manifest)
-        assert clean.findings == [], clean.render_text()
-        cache = root / "mem" / "cache.py"
-        mutated = cache.read_text().replace('"occupied"', '"resident"')
-        assert mutated != cache.read_text()
-        cache.write_text(mutated)
-        report = analyze_clean([root], passes=["checkpoint-safety"],
-                               manifest_path=manifest)
-        assert any(f.rule == "checkpoint-manifest"
-                   and "CacheArray" in f.message
-                   for f in report.findings), report.render_text()
-
-    def test_version_bump_demands_regenerated_manifest(self, tmp_path):
-        root = copy_tree(tmp_path, "sim/checkpoint.py", "core/lsq.py")
-        manifest = tmp_path / "state_manifest.json"
-        write_manifest(load_sources([root]), manifest)
-        lsq = root / "core" / "lsq.py"
-        lsq.write_text(lsq.read_text().replace(
-            '__slots__ = ("capacity", "_ring", "_qmask", "_head", "_tail")',
-            '__slots__ = ("capacity", "_ring", "_qmask", "_head", "_tail",\n'
-            '                 "_extra")', 1))
-        ckpt = root / "sim" / "checkpoint.py"
-        ckpt.write_text(ckpt.read_text().replace(
-            "CHECKPOINT_FORMAT_VERSION = 3",
-            "CHECKPOINT_FORMAT_VERSION = 4", 1))
-        report = analyze_clean([root], passes=["checkpoint-safety"],
-                               manifest_path=manifest)
-        assert any(f.rule == "checkpoint-manifest"
-                   and "regenerate" in f.message
-                   for f in report.findings), report.render_text()
-        # regenerating the manifest settles the contract
-        write_manifest(load_sources([root]), manifest)
-        settled = analyze_clean([root], passes=["checkpoint-safety"],
-                                manifest_path=manifest)
-        assert settled.findings == [], settled.render_text()
-
-
 class TestDeterminismMutation:
     """Seeded mutation: strip the env-read waiver from the runner."""
 
@@ -419,52 +313,10 @@ class TestEntropySourceRule:
         assert len(report.findings) == 6
 
     def test_out_of_scope_entropy_is_ignored(self, tmp_path):
-        mod = tmp_path / "repro" / "service" / "mod.py"
+        mod = tmp_path / "repro" / "analysis" / "mod.py"
         mod.parent.mkdir(parents=True)
         mod.write_text("import os\ntoken = os.urandom(16)\n")
         report = analyze_clean([tmp_path], passes=["determinism"])
-        assert report.findings == []
-
-
-class TestServiceTaxonomyMutation:
-    """Seeded mutations: an undocumented raise, a dropped reducer arm."""
-
-    SERVICE_FILES = ("common/errors.py", "service/server.py",
-                     "service/journal.py")
-
-    def test_head_service_is_clean(self, tmp_path):
-        root = copy_tree(tmp_path, *self.SERVICE_FILES)
-        report = analyze_clean([root], passes=["service-taxonomy"])
-        assert report.findings == [], report.render_text()
-
-    def test_undocumented_raise_in_handler_is_flagged(self, tmp_path):
-        root = copy_tree(tmp_path, *self.SERVICE_FILES)
-        server = root / "service" / "server.py"
-        server.write_text(server.read_text().replace(
-            'raise JobNotFoundError(f"no route for GET',
-            'raise RuntimeError(f"no route for GET', 1))
-        report = analyze_clean([root], passes=["service-taxonomy"])
-        assert any(f.rule == "service-raises"
-                   and "RuntimeError" in f.message
-                   for f in report.findings), report.render_text()
-
-    def test_dropped_reducer_arm_is_flagged(self, tmp_path):
-        root = copy_tree(tmp_path, *self.SERVICE_FILES)
-        journal = root / "service" / "journal.py"
-        journal.write_text(journal.read_text().replace(
-            'elif rtype == "failed":',
-            'elif rtype == "dropped":', 1))
-        report = analyze_clean([root], passes=["service-taxonomy"])
-        rules = rules_of(report)
-        assert "journal-exhaustive" in rules, report.render_text()
-        assert "journal-unknown-type" in rules
-        assert any("'failed'" in f.message for f in report.findings)
-
-    def test_documented_errors_need_the_errors_module(self, tmp_path):
-        # single-file analyses have no taxonomy to check against: the
-        # rule must skip rather than flag every raise
-        root = copy_tree(tmp_path, "service/server.py")
-        report = analyze_clean([root], passes=["service-taxonomy"])
         assert report.findings == []
 
 
@@ -525,7 +377,5 @@ class TestOnTheRepository:
 
     def test_all_five_passes_ran(self):
         report = analyze_paths([SRC / "verify" / "passes"])
-        assert report.passes == ["lint", "wakeup-contract",
-                                 "checkpoint-safety", "determinism",
-                                 "service-taxonomy", "event-discipline",
-                                 "waivers"]
+        assert report.passes == ["lint", "wakeup-contract", "determinism",
+                                 "event-discipline", "waivers"]
