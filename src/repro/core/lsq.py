@@ -105,10 +105,6 @@ class LoadQueue:
                     out.append(load)
         return out
 
-    def snoop_pinned(self, line: int) -> bool:
-        """LQ snoop used by the coherence layer: any pinned load of line?"""
-        return any(load.line == line and load.pinned for load in self)
-
 
 class StoreQueue:
     """Program-ordered ring of not-yet-retired stores (32 entries)."""
@@ -185,12 +181,3 @@ class StoreQueue:
             if store.addr_ready and store.line == line:
                 return store
         return None
-
-    def older_unknown_address(self, load_index: int) -> bool:
-        """Any store older than ``load_index`` whose address is unknown?"""
-        for store in self:
-            if store.index >= load_index:
-                break
-            if not store.addr_ready:
-                return True
-        return False

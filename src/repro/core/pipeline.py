@@ -5,11 +5,14 @@ pinning chain, issues ready uops and eligible loads, dispatches new uops,
 and drains the write buffer.  Completion of multi-cycle work (functional
 units, memory responses) arrives through the system event queue.
 
-The stage methods below are the model's semantics: ``tick_reference``
-calls them in the seed order (the ``System.run_reference`` oracle), and
-the engine that runs ``System.run`` (``repro.sim.engine``) compiles them
-into per-scheme closures, calling back into the rarer ones (atomics,
-barriers, squashes, InvisiSpec issue) directly.
+The per-cycle stages are per-core closures that the engine running
+``System.run`` builds (``repro.sim.engine``); retire, dispatch and
+ready-uop issue exist only there.  This class holds the core's state
+and the semantics the closures call back into: the event callbacks
+(completion, address generation, branch resolution, load data), squash,
+the VP walk and the load-issue scan that schemes without an inlined
+engine loop keep (InvisiSpec), the retire checks of the serializing
+classes, atomics, barriers and the write-buffer drain.
 
 The core implements the coherence layer's ``CorePort``: it is the component
 snooped on invalidations/evictions (TSO squash rule and pin deferral) and
@@ -40,7 +43,7 @@ from repro.core.rob import (FLAG_ADDR_READY, FLAG_COMPLETE, FLAG_MCV_SAFE,
                             FLAG_PINNED, FLAG_VP_CAND, ReorderBuffer,
                             ROBEntry)
 from repro.isa.trace import Trace
-from repro.isa.uops import MicroOp, OpClass
+from repro.isa.uops import OpClass
 from repro.mem.coherence import CoherentMemory, CorePort
 from repro.mem.writebuffer import WriteBuffer
 from repro.pinning.controller import PinnedLoadsController
@@ -79,10 +82,10 @@ class Core(CorePort):
         "_fetch_resume", "_retired_upto", "_ready", "_waiting_loads",
         "_lp_parked", "_waiters", "_data_waiters", "_resolved_mispredicts",
         "_wb_draining", "retired_count", "_progress", "_trace_len",
-        "_vp_active", "_wb_entries", "_width", "_rob_capacity",
+        "_vp_active", "_wb_entries", "_rob_capacity",
         "retire_sig", "_vp_candidates", "_wake_pending",
         "_waiting_stalled", "_cols", "_flags", "_vp_col", "_slot_mask",
-        "_handles", "_twins", "__dict__",
+        "_handles", "__dict__",
     )
 
     def __init__(self, core_id: int, config: SystemConfig, trace: Trace,
@@ -137,9 +140,6 @@ class Core(CorePort):
         # hot-loop hoists: immutable facts and stable containers read
         # every cycle by the stages (the columns are never reassigned)
         self._trace_len = len(trace)
-        # adversarial traces only: NOP twins for transient uops, checked
-        # with one None test per dispatched uop on ordinary traces
-        self._twins = trace.twins if trace.has_transient else None
         self._vp_active = self.scheme.gates_issue or self.taint is not None
         self._cols = self.rob.cols
         self._flags = self._cols.flags
@@ -147,7 +147,6 @@ class Core(CorePort):
         self._slot_mask = self.rob._mask
         self._handles = self.rob._handles
         self._wb_entries = self.write_buffer._entries
-        self._width = self.config.core.width
         self._rob_capacity = self.rob.capacity
         mem.attach_port(core_id, self)
 
@@ -190,53 +189,19 @@ class Core(CorePort):
             self._squash_from(load.index, f"mcv_{kind}")
             return
 
-    # ------------------------------------------------------------------
-    # Per-cycle step
-    # ------------------------------------------------------------------
-
     @property
     def done(self) -> bool:
         return self.done_cycle is not None
-
-    def tick_reference(self, cycle: int) -> None:
-        """The seed per-cycle step: unconditional stage calls in the
-        original order.  Validation oracle for the engine's ticks."""
-        if self.done:
-            return
-        self.cycle = cycle
-        self._retire_stage()
-        self._update_vps()
-        self.controller.tick()
-        self._lp_retry_parked()
-        self._issue_stage()
-        self._dispatch_stage()
-        self._kick_write_buffer()
-        if (self._cursor >= len(self.trace) and self.rob.empty
-                and self.write_buffer.empty):
-            self.done_cycle = cycle
-            self.stats.set("done_cycle", cycle)
-            self.stats.set("retire_sig", self.retire_sig)
 
     # ------------------------------------------------------------------
     # Retire
     # ------------------------------------------------------------------
 
-    def _retire_stage(self) -> None:
-        retired = 0
-        width = self.config.core.width
-        rob = self.rob
-        while retired < width:
-            head = rob.head()
-            if head is None or not self._head_may_retire(head):
-                break
-            self._retire(head)
-            retired += 1
-        if retired:
-            # one batched counter update per stage, not per uop: the
-            # final statistics are identical, the dict traffic is not
-            self.stats.bump("retired", retired)
-
     def _head_may_retire(self, head: ROBEntry) -> bool:
+        """May the ROB head retire now?  The engine's retire closure
+        asks this for the serializing classes and invisibly-performed
+        loads; for a head atomic it issues the access, for a head
+        barrier it arrives."""
         opclass = head.uop.opclass
         if opclass is OpClass.STORE:
             return head.complete and not self.write_buffer.full
@@ -258,29 +223,6 @@ class Core(CorePort):
             # validation access at its VP has completed (InvisiSpec-class)
             return head.complete and head.validated
         return head.complete
-
-    def _retire(self, head: ROBEntry) -> None:
-        self._wake_pending = True
-        uop = head.uop
-        opclass = uop.opclass
-        if opclass is OpClass.LOAD:
-            if head.vp_cycle is None:
-                self.note_vp_reached(head)
-            self.lq.release_head(head)
-            self.vp_state.unretired_loads.discard(head.index)
-            self.controller.on_load_retire(head)
-        elif opclass is OpClass.STORE:
-            self.sq.release_head(head)
-            self.write_buffer.push(head.line)
-            self._kick_write_buffer()
-        elif opclass in (OpClass.FENCE, OpClass.ATOMIC, OpClass.BARRIER):
-            self.vp_state.serializing.discard(head.index)
-        self.rob.pop_head()
-        self._retired_upto = head.index + 1
-        self.retired_count += 1
-        self._progress.count += 1
-        self.retire_sig = ((self.retire_sig ^ (head.index + 1))
-                           * 0x100000001b3) & 0xFFFFFFFFFFFFFFFF
 
     # ------------------------------------------------------------------
     # VP tracking
@@ -357,43 +299,6 @@ class Core(CorePort):
     # ------------------------------------------------------------------
     # Issue
     # ------------------------------------------------------------------
-
-    def _issue_stage(self) -> None:
-        width = self.config.core.width
-        if self._ready:
-            self._ready.sort()
-            issuable = self._ready
-            self._ready = []
-            budget = width
-            rob = self.rob
-            for index in issuable:
-                if budget == 0:
-                    self._ready.append(index)
-                    continue
-                self._begin_execution(rob.find(index))
-                budget -= 1
-        self._issue_waiting_loads()
-
-    def _begin_execution(self, entry: ROBEntry) -> None:
-        cp = self.config.core
-        opclass = entry.uop.opclass
-        if opclass is OpClass.INT_ALU:
-            entry.issued = True
-            self._schedule_complete(entry, cp.int_latency)
-        elif opclass is OpClass.FP_ALU:
-            entry.issued = True
-            self._schedule_complete(entry, cp.fp_latency)
-        elif opclass is OpClass.BRANCH:
-            entry.issued = True
-            self.events.schedule_after(
-                cp.branch_exec_latency, self._on_branch_resolved, entry)
-        elif opclass in (OpClass.LOAD, OpClass.STORE, OpClass.ATOMIC):
-            # memory ops only generate their address here; "issued" is
-            # reserved for the actual memory access
-            self.events.schedule_after(
-                cp.agen_latency, self._on_addr_ready, entry)
-        else:
-            raise AssertionError(f"unexpected ready uop {entry}")
 
     def _schedule_complete(self, entry: ROBEntry, latency: int) -> None:
         self.events.schedule_after(latency, self._complete, entry)
@@ -688,81 +593,6 @@ class Core(CorePort):
         self._complete(entry)
 
     # ------------------------------------------------------------------
-    # Dispatch
-    # ------------------------------------------------------------------
-
-    def _dispatch_stage(self) -> None:
-        if self.cycle < self._fetch_resume:
-            return
-        dispatched = 0
-        trace = self.trace
-        trace_len = self._trace_len
-        twins = self._twins
-        while dispatched < self._width and self._cursor < trace_len \
-                and not self.rob.full:
-            uop = trace[self._cursor]
-            if twins is not None and uop.guard is not None \
-                    and uop.guard in self._resolved_mispredicts:
-                # the guard resolved: the correct path never contained
-                # this uop — every replay dispatches its NOP twin
-                uop = twins[uop.index]
-            if uop.is_load and self.lq.full:
-                break
-            if uop.is_store and self.sq.full:
-                break
-            self._dispatch(uop)
-            self._cursor += 1
-            dispatched += 1
-        if dispatched:
-            self.stats.bump("dispatched", dispatched)
-
-    def _dispatch(self, uop: MicroOp) -> None:
-        self._wake_pending = True
-        entry = ROBEntry(uop, 0, self.cycle, self._cols,
-                         uop.index & self._slot_mask)
-        pending = 0
-        for dep in uop.deps:
-            if not self._value_available(dep):
-                self._waiters.setdefault(dep, []).append(entry)
-                pending += 1
-        entry.pending_deps = pending
-        for dep in uop.data_deps:
-            if not self._value_available(dep):
-                self._data_waiters.setdefault(dep, []).append(entry)
-                entry.pending_data_deps += 1
-        self.rob.push(entry)
-        vp = self.vp_state
-        opclass = uop.opclass
-        if opclass is OpClass.LOAD:
-            self.lq.allocate(entry)
-            vp.unretired_loads.add(entry.index)
-            vp.unknown_addr_memops.add(entry.index)
-            self.controller.on_load_dispatch(entry)
-        elif opclass is OpClass.STORE:
-            self.sq.allocate(entry)
-            vp.unknown_addr_stores.add(entry.index)
-            vp.unknown_addr_memops.add(entry.index)
-        elif opclass is OpClass.ATOMIC:
-            vp.unknown_addr_stores.add(entry.index)
-            vp.unknown_addr_memops.add(entry.index)
-            vp.serializing.add(entry.index)
-        elif opclass is OpClass.BRANCH:
-            vp.unresolved_branches.add(entry.index)
-        elif opclass in (OpClass.FENCE, OpClass.BARRIER):
-            vp.serializing.add(entry.index)
-        if self.taint is not None:
-            self.taint.on_dispatch(uop)
-        if pending == 0 and opclass not in (OpClass.FENCE, OpClass.BARRIER):
-            self._ready.append(entry.index)
-
-    def _value_available(self, dep: int) -> bool:
-        # a dep is always older than the dispatching uop, so when it is
-        # unretired it is in the ROB window and ``find`` returns its handle
-        if dep < self._retired_upto:
-            return True
-        return self.rob.find(dep).complete
-
-    # ------------------------------------------------------------------
     # Squash
     # ------------------------------------------------------------------
 
@@ -784,7 +614,7 @@ class Core(CorePort):
             for idx in range(cursor - 1, low - 1, -1):
                 slot = idx & mask
                 entry = handles[slot]
-                handles[slot] = None    # inlined rob.pop_tail
+                handles[slot] = None    # pop the ROB tail
                 self._cleanup_squashed(entry)
             squashed = cursor - low
             self.rob._next = low

@@ -198,10 +198,6 @@ class ROBEntry:
     def dispatch_cycle(self, value: int) -> None:
         self.cols.dispatch_cycle[self.slot] = value
 
-    @property
-    def deps_ready(self) -> bool:
-        return self.cols.pending[self.slot] == 0
-
     def __repr__(self) -> str:
         flags = "".join(flag for flag, on in [
             ("I", self.issued), ("C", self.complete), ("A", self.addr_ready),
@@ -214,10 +210,10 @@ class ReorderBuffer:
     """Contiguous in-order window of in-flight uops over the columns.
 
     The window is ``[_head, _next)`` in program-order indices; the
-    handle for index ``i`` sits at ``_handles[i & _mask]``.  All the
-    linked-structure operations of the previous deque+dict layout —
-    head/tail access, index lookup, occupancy — become O(1) integer
-    arithmetic, and popping either end is one list store.
+    handle for index ``i`` sits at ``_handles[i & _mask]``.  Head
+    access, index lookup and occupancy are O(1) integer arithmetic, and
+    popping an end is one list store (squash pops the tail inline,
+    ``Core._squash_from``).
     """
 
     __slots__ = ("capacity", "cols", "_mask", "_handles", "_head", "_next")
@@ -253,11 +249,6 @@ class ReorderBuffer:
         if self._next == self._head:
             return None
         return self._handles[self._head & self._mask]
-
-    def tail(self) -> Optional[ROBEntry]:
-        if self._next == self._head:
-            return None
-        return self._handles[(self._next - 1) & self._mask]
 
     def push(self, entry: ROBEntry) -> None:
         if self._next - self._head >= self.capacity:
@@ -296,13 +287,6 @@ class ReorderBuffer:
         entry = self._handles[slot]
         self._handles[slot] = None
         self._head += 1
-        return entry
-
-    def pop_tail(self) -> ROBEntry:
-        self._next -= 1
-        slot = self._next & self._mask
-        entry = self._handles[slot]
-        self._handles[slot] = None
         return entry
 
     def find(self, index: int) -> Optional[ROBEntry]:

@@ -49,12 +49,6 @@ class WriteBuffer:
     def full(self) -> bool:
         return self.backpressure or len(self._entries) >= self.capacity
 
-    @property
-    def free(self) -> int:
-        if self.backpressure:
-            return 0
-        return self.capacity - len(self._entries)
-
     def push(self, line: int) -> WriteBufferEntry:
         """Deposit a retiring store.  Caller must check ``full`` first.
         Only real occupancy overflows; chaos backpressure gates retire

@@ -8,7 +8,10 @@ and transitively everything computed from it — becomes untainted.
 We track, per uop, the set of *root loads* in its dataflow backward slice
 (``output_roots``).  A value is currently tainted iff any of its root loads
 is still in flight and pre-VP, so untaint-on-VP is a O(roots) liveness check
-at query time instead of an eager broadcast.
+at query time instead of an eager broadcast.  The roots are written at
+dispatch by the engine's dispatch closure (``repro.sim.engine``): a
+load's output is rooted at the load itself, any other uop's output
+unions its operands' live roots (``_live_subset``).
 
 With the column ROB layout a root's liveness probe is pure integer
 arithmetic: live means "inside the contiguous window ``[head, next)``",
@@ -32,7 +35,6 @@ from __future__ import annotations
 from typing import Dict, FrozenSet
 
 from repro.core.rob import ReorderBuffer, ROBEntry
-from repro.isa.uops import MicroOp
 
 _EMPTY: FrozenSet[int] = frozenset()
 
@@ -45,24 +47,6 @@ class TaintTracker:
     def __init__(self, rob: ReorderBuffer) -> None:
         self._rob = rob
         self._output_roots: Dict[int, FrozenSet[int]] = {}
-
-    def on_dispatch(self, uop: MicroOp) -> None:
-        """Record the taint roots of this uop's output.
-
-        A load's output is rooted at the load itself; any other uop's output
-        unions its operands' roots.  Re-dispatch after a squash overwrites
-        the stale entry.
-        """
-        if uop.is_load:
-            self._output_roots[uop.index] = frozenset((uop.index,))
-            return
-        output_roots = self._output_roots
-        roots = _EMPTY
-        for dep in uop.deps:
-            dep_roots = output_roots.get(dep)
-            if dep_roots:
-                roots = roots | self._live_subset(dep_roots)
-        output_roots[uop.index] = roots
 
     def _live_subset(self, roots: FrozenSet[int]) -> FrozenSet[int]:
         """Drop roots that are already architectural (retired / post-VP).
@@ -81,11 +65,6 @@ class TaintTracker:
         return frozenset(
             r for r in roots
             if head <= r < nxt and vp[r & mask] < 0)
-
-    def _is_live_pre_vp(self, root_index: int) -> bool:
-        rob = self._rob
-        return rob._head <= root_index < rob._next \
-            and rob.cols.vp[root_index & rob._mask] < 0
 
     def addr_tainted(self, entry: ROBEntry) -> bool:
         """Is the load's address derived from a pre-VP speculative load?"""

@@ -5,8 +5,8 @@ decodes each core's trace once (``repro.isa.compiled``) and closes a
 dedicated ``tick``/``quiet_until`` pair over the core's hot state:
 
 * every scheme flag, threat-model level, latency, and capacity that
-  the stage methods re-read through attribute/property chains each
-  cycle is bound once as a closure constant, so the inner loop carries
+  a generic per-cycle step would re-read through attribute/property
+  chains is bound once as a closure constant, so the inner loop carries
   no per-cycle scheme dispatch;
 * the mutable core state the closures chase is struct-of-arrays too
   (``repro.core.rob.ColumnState``): status/deps/VP state are ``array``
@@ -42,12 +42,19 @@ figures:
   the per-uop arrays in which a uop whose guard has resolved reads as
   its NOP twin (``_TraceView``).
 
-Behaviour is bit-exact against the seed ``run_reference`` oracle: same
-event schedule (the tie break is the queue's insertion sequence, so the
-engine issues exactly the calls the stage methods would), same
-statistics, same retire signatures.  Parity is asserted by
-``tests/test_soa_parity.py`` for every scheme, the InvisiSpec and
-mutant variants, sanitized runs and attack traces, chaos on and off.
+The closures are the only implementation of retire, dispatch and
+ready-uop issue; the rest of the core's semantics are ``Core`` methods
+they call back into.  Three references check them, none of which a
+change to this file can move along with it:
+
+* ``GOLDEN_STATS.json`` pins every counter of a fixed set of cells
+  (``tests/test_golden_stats.py``);
+* the never-skip build (a sanitized system) is the reference for the
+  fast-forward below: every scheme, the InvisiSpec and mutant variants,
+  multi-core and attack traces, chaos on and off must match it counter
+  for counter (``tests/test_soa_parity.py``);
+* CI runs random cells on this tree and on the merge-base tree and
+  diffs every counter (``python -m tests.golden_stats --random``).
 
 Two refinements beyond the per-cycle stage order:
 
@@ -69,8 +76,7 @@ Two refinements beyond the per-cycle stage order:
   with the all-quiet jump.
 
 The engine holds no simulated state of its own: everything lives in the
-ordinary object model, so diagnostics and the reference loop see one
-world.
+ordinary object model, so diagnostics and the sanitizer see one world.
 """
 
 from __future__ import annotations
@@ -116,12 +122,13 @@ class _TraceView:
     On a transient trace the view is private and mutable: a uop whose
     guard is in ``Core._resolved_mispredicts`` reads as its NOP twin
     (``Trace.twins``: an INT_ALU with the same deps and no address),
-    exactly as ``Core._dispatch_stage`` substitutes it.  ``sync``
-    re-derives that overlay from the resolved set; it runs at the
-    build and, through the transient tick wrapper, at the start of
-    the first tick after the set grows.  A guard only resolves in an
-    event callback, which squashes every younger uop, so no in-flight
-    uop ever changes class under the closures."""
+    since the correct path never contained it and every replay
+    dispatches the twin.  ``sync`` re-derives that overlay from the
+    resolved set; it runs at the build and, through the transient tick
+    wrapper, at the start of the first tick after the set grows.  A
+    guard only resolves in an event callback, which squashes every
+    younger uop, so no in-flight uop ever changes class under the
+    closures."""
 
     __slots__ = ("opcodes", "is_load", "is_store", "uops", "lines", "sync")
 
@@ -164,11 +171,12 @@ def _never_quiet(cycle: int) -> int:
 
 
 def _make_issue_ready(core: Core, view: _TraceView) -> Callable[[], None]:
-    """Specialized ready-uop issue: the ``_begin_execution`` opclass
-    ladder collapses to one byte read, with the event callbacks and
-    latencies bound as closure constants.  The ready list holds plain
-    indices (squash purges its dead suffix), so the sort is a native
-    int sort and the issued prefix is one slice delete."""
+    """Ready-uop issue: ALU ops and branches start executing, memory ops
+    start address generation.  The opclass test is one byte read, with
+    the event callbacks and latencies bound as closure constants.  The
+    ready list holds plain indices (squash purges its dead suffix), so
+    the sort is a native int sort and the issued prefix is one slice
+    delete."""
     cp = core.config.core
     width = cp.width
     int_lat = cp.int_latency
@@ -558,11 +566,12 @@ def _make_update_vps(core: Core) -> Callable[[], None]:
 
 
 def _make_retire(core: Core, view: _TraceView) -> Callable[[], None]:
-    """Specialized retire: the head-retirability ladder collapses to a
-    byte compare plus one flags read for the common classes (ALU /
-    branch / plain load / store); the rarer serializing classes keep the
-    generic check.  Head pops on the ROB and the LQ/SQ rings are one
-    list store and one integer increment each."""
+    """Retire: up to ``width`` ROB heads per tick, in program order.
+    Whether the head may retire is a byte compare plus one flags read
+    for the common classes (ALU / branch / plain load / store); the
+    rarer serializing classes and invisibly-performed loads ask
+    ``Core._head_may_retire``.  Head pops on the ROB and the LQ/SQ
+    rings are one list store and one integer increment each."""
     width = core.config.core.width
     rob = core.rob
     handles = core._handles
@@ -616,7 +625,7 @@ def _make_retire(core: Core, view: _TraceView) -> Callable[[], None]:
                     break
             elif not may_retire(head):  # FENCE / ATOMIC / BARRIER
                 break
-            # --- inlined Core._retire ---
+            # --- retire the head ---
             if code == OP_LOAD:
                 if vp_col[slot] < 0:
                     note(head)
@@ -662,13 +671,13 @@ def _make_retire(core: Core, view: _TraceView) -> Callable[[], None]:
 
 
 def _make_dispatch(core: Core, view: _TraceView) -> Callable[[], None]:
-    """Fully inlined ``Core._dispatch_stage`` + ``Core._dispatch``: the
+    """Dispatch: up to ``width`` uops per tick from the cursor into the
+    ROB window, the LQ/SQ rings, the waiter lists of their unfinished
+    producers, the VP condition sets and (STT) the taint roots.  The
     trace probes are flat byte reads on the view (which already holds
-    the NOP twin of a neutered transient uop), and ``_value_available``
-    / ``rob.push`` / the LQ/SQ allocations collapse to integer
-    compares, one flags read, and ring stores.  The resulting column
-    state, waiter registrations and VP-set updates are identical to the
-    stage methods' (same objects, same order)."""
+    the NOP twin of a neutered transient uop); a producer's value is
+    available once it retired or its complete flag is set, and the ROB
+    and LQ/SQ allocations are ring stores."""
     width = core.config.core.width
     opcodes = view.opcodes
     uops = view.uops
@@ -721,8 +730,10 @@ def _make_dispatch(core: Core, view: _TraceView) -> Callable[[], None]:
     pinning = core._pinning
     on_load_dispatch = core.controller.on_load_dispatch
     taint = core.taint
-    # STT: TaintTracker.on_dispatch inlined below, with the all-live
-    # common case (no retired/post-VP roots to drop) probed before the
+    # STT taint roots: a load's output is rooted at the load itself, any
+    # other uop's output unions its operands' live roots (a re-dispatch
+    # after a squash overwrites the stale entry).  The all-live common
+    # case (no retired/post-VP roots to drop) is probed before the
     # allocating `_live_subset` filter is paid
     taint_roots = None if taint is None else taint._output_roots
     live_subset = None if taint is None else taint._live_subset
@@ -749,7 +760,7 @@ def _make_dispatch(core: Core, view: _TraceView) -> Callable[[], None]:
             elif code == OP_STORE:
                 if sq._tail - sq._head >= sq_capacity:
                     break
-            # --- inlined Core._dispatch ---
+            # --- dispatch one uop ---
             # the ROBEntry constructor (attribute stores + ColumnState
             # reset) unrolled over the hoisted columns
             uop = uops[cursor]
@@ -776,8 +787,9 @@ def _make_dispatch(core: Core, view: _TraceView) -> Callable[[], None]:
                             and not flags[dep & mask] & FLAG_COMPLETE:
                         dep_waiters = waiters.get(dep)
                         if dep_waiters is None:
-                            # first waiter: the reference path allocates
-                            # this list too (amortized, not per-cycle)
+                            # first waiter: one list per producer, made
+                            # once (amortized over its waiters, not
+                            # per cycle)
                             waiters[dep] = (
                                 [entry])  # repro: allow-hot-path-allocation
                         else:
@@ -1092,7 +1104,6 @@ def _specialize_core(core: Core, compiled: CompiledTrace, sanitizer,
     trace_len = len(view.uops)
     stats = core.stats
     controller_tick = _make_controller_tick(core) if pinning else None
-    lp_retry = core._lp_retry_parked
     kick_wb = core._kick_write_buffer
     retire_stage = _make_retire(core, view)
     update_vps = _make_update_vps(core) if vp_active else None
@@ -1118,7 +1129,7 @@ def _specialize_core(core: Core, compiled: CompiledTrace, sanitizer,
         if pinning:
             controller_tick()
             if late and core._lp_parked:
-                lp_retry()
+                core._lp_retry_parked()
         if core._ready:
             issue_ready()
         if core._waiting_loads and (scan_always or woke or core._wake_pending

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Set
 
-from repro.common.errors import ConfigError, DeadlockError
+from repro.common.errors import ConfigError
 from repro.common.events import EventQueue
 from repro.common.params import SystemConfig
 from repro.core.pipeline import Core, RetireProgress
@@ -27,8 +27,7 @@ class BarrierManager:
     (not through the event queue), so it is exactly the kind of
     cross-core mutation the quiet/wakeup contract requires to be
     flagged.  The multi-core loop relies on this to skip ticks of cores
-    parked on a notified barrier (``repro.sim.engine``); for the
-    reference loop the extra wake is a conservative no-op.
+    parked on a notified barrier (``repro.sim.engine``).
     """
 
     __slots__ = ("num_cores", "_arrived", "_released", "_cores")
@@ -106,8 +105,10 @@ class System:
 
         Every configuration runs on the struct-of-arrays engine
         (``repro.sim.engine``), sanitized, transient and InvisiSpec
-        systems included; it is bit-exact against ``run_reference``
-        (asserted by ``tests/test_soa_parity.py``).
+        systems included.  A sanitized system never fast-forwards, and
+        every other run must match it counter for counter
+        (``tests/test_soa_parity.py``); ``GOLDEN_STATS.json`` pins the
+        counters themselves (``tests/test_golden_stats.py``).
         """
         engine = self._engine
         if engine is None:
@@ -121,45 +122,6 @@ class System:
             self._engine = None
             if self.sanitizer is not None:
                 self.sanitizer.finish()
-        return cycle
-
-    def run_reference(self, max_cycles: int = 50_000_000) -> int:
-        """The unoptimized run loop: full per-cycle core scan, O(cores)
-        retired summation, and unguarded per-stage calls via
-        ``Core.tick_reference``.  Kept as the validation oracle for the
-        engine behind ``run`` — same simulated behaviour, slower."""
-        cycle = 0
-        last_progress_cycle = 0
-        last_retired = -1
-        deadlock_window = self.config.deadlock_cycles
-        cores = self.cores
-        events = self.events
-        while True:
-            cycle += 1
-            events.run_until(cycle)
-            all_done = True
-            for core in cores:
-                if not core.done:
-                    core.tick_reference(cycle)
-                    if not core.done:
-                        all_done = False
-            if all_done:
-                break
-            retired = sum(core.retired for core in cores)
-            if retired != last_retired:
-                last_retired = retired
-                last_progress_cycle = cycle
-            elif cycle - last_progress_cycle > deadlock_window:
-                detail = "; ".join(repr(core) for core in cores
-                                   if not core.done)
-                raise DeadlockError(cycle, detail,
-                                    dump=self.diagnostic_dump(cycle))
-            if cycle >= max_cycles:
-                raise DeadlockError(cycle, "max_cycles exceeded",
-                                    dump=self.diagnostic_dump(cycle))
-        self.cycles = cycle
-        if self.sanitizer is not None:
-            self.sanitizer.finish()
         return cycle
 
     @property

@@ -39,10 +39,10 @@ CYCLE_ATTRS = {"now", "cycles", "cycle"}
 CYCLE_OWNER_SUFFIX = "common/events.py"
 
 #: functions allowed to write time: the run loops (the engine's run
-#: methods and per-core ``tick`` closures, the reference loop) assign the
-#: cycle they are executing, __init__ establishes cycle zero
-CYCLE_WRITER_FUNCS = {"__init__", "run", "run_reference", "tick",
-                      "tick_reference", "_run_single", "_run_multi"}
+#: methods and per-core ``tick`` closures) assign the cycle they are
+#: executing, __init__ establishes cycle zero
+CYCLE_WRITER_FUNCS = {"__init__", "run", "tick", "_run_single",
+                      "_run_multi"}
 
 CYCLE_SCOPED_PACKAGES = {"core", "mem", "pinning", "security", "sim",
                          "chaos", "common"}

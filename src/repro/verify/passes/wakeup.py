@@ -8,7 +8,7 @@ cycle — VP frontier membership, taint/root tracking, pin/CST/CPT state,
 LQ/SQ allocation — must re-arm ``Core._wake_pending``**, either directly
 or by running strictly under a caller that does.  A missed re-arm does
 not fail loudly; it makes the core sleep through a wakeup and silently
-diverges the defended run from ``run_reference`` (the bit-exact parity
+diverges the defended run from its never-skip run (the bit-exact parity
 the whole reproduction hangs on, see docs/performance.md).
 
 This pass encodes the contract statically:
@@ -22,8 +22,8 @@ This pass encodes the contract statically:
   deleting the re-arm from every event callback in ``pipeline.py`` —
   the checker must catch its own seeded mutations to be worth running);
 * a function is *covered* if it re-arms, is a conventional root
-  (``__init__`` runs before the first tick; ``tick``/``tick_reference``
-  mutations are observed by the cycle already being executed), or every
+  (``__init__`` runs before the first tick; ``tick`` mutations are
+  observed by the cycle already being executed), or every
   caller is covered (least fixpoint; an uncalled function is NOT
   covered — event callbacks have no static callers and must re-arm
   themselves, which is exactly the bug class this pass hunts).
@@ -79,12 +79,11 @@ WAKE_OBJECT_METHODS = {
 
 #: function names covered by convention, not by re-arming:
 #: ``__init__`` runs during construction (before any tick can sleep);
-#: ``tick``/``tick_reference`` are the per-cycle entry points (the
-#: engine's per-core closures, ``PinnedLoadsController.tick``, the
-#: reference step) — any state they move is observed by the very cycle
-#: executing them, and the engine's ``tick`` owns the flag's
-#: clear/handoff itself.
-WAKE_EXEMPT_ROOTS = {"__init__", "tick", "tick_reference"}
+#: ``tick`` is the per-cycle entry point (the engine's per-core
+#: closures, ``PinnedLoadsController.tick``) — any state it moves is
+#: observed by the very cycle executing it, and the engine's ``tick``
+#: owns the flag's clear/handoff itself.
+WAKE_EXEMPT_ROOTS = {"__init__", "tick"}
 
 WAKE_FLAG = "_wake_pending"
 
@@ -199,8 +198,9 @@ class WakeupContractPass(AnalysisPass):
         if not scoped:
             return []
         # the call graph spans *all* analyzed files so that callers
-        # outside the scoped packages (e.g. sim/engine.py driving the
-        # stage methods) still count as coverage evidence
+        # outside the scoped packages (e.g. sim/engine.py, whose tick
+        # closures call the core's helpers) still count as coverage
+        # evidence
         graph = CallGraph(f for f in ctx.files if f.tree is not None)
         rearming: Set[str] = {
             name for name, nodes in graph.functions.items()
@@ -219,6 +219,6 @@ class WakeupContractPass(AnalysisPass):
                     f"{site.what} in {owner.name}() moves wake-relevant "
                     f"state, but {owner.name} neither re-arms "
                     f"Core._wake_pending nor runs only under callers "
-                    f"that do; a skipped wakeup silently breaks "
-                    f"run_reference parity"))
+                    f"that do; a skipped wakeup silently diverges the "
+                    f"run from its never-skip run"))
         return findings

@@ -227,12 +227,6 @@ class TestWriteBuffer:
         with pytest.raises(OverflowError):
             wb.push(2)
 
-    def test_free_tracks_occupancy(self):
-        wb = WriteBuffer(capacity=3)
-        assert wb.free == 3
-        wb.push(1)
-        assert wb.free == 2
-
     def test_rejects_zero_capacity(self):
         with pytest.raises(ValueError):
             WriteBuffer(capacity=0)

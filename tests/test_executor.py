@@ -8,7 +8,8 @@ The contracts under test:
   so same-named workloads with different traces can never alias, and
   any config or trace change invalidates;
 * a raising or deadlocked worker is isolated to a ``TaskFailure``;
-* ``System.run`` (optimized loop) matches ``System.run_reference``.
+* ``System.run`` (with fast-forward) matches the never-skip run of the
+  same config (``sanitize=True``), deadlocks included.
 """
 
 import json
@@ -27,6 +28,7 @@ from repro.sim.runner import ExperimentCache, run_simulation
 from repro.sim.sweep import Sweep
 from repro.sim.system import BarrierManager, System
 from repro.workloads import spec17_workload
+from tests.parity import SCHEMES, assert_matches_never_skip, never_skip
 
 BASE = SystemConfig()
 FENCE_EP = BASE.with_defense(DefenseKind.FENCE, COMPREHENSIVE,
@@ -256,55 +258,29 @@ class TestSweepWithExecutor:
         assert serial == parallel
 
 
-def _grid_configs():
-    """Every scheme the fast-forward must stay bit-exact for: the
-    unsafe baseline plus each ``scheme_grid`` cell (fence/DOM/STT x
-    Comp/LP/EP/Spectre)."""
-    from repro.sim.runner import scheme_grid
-    labeled = [("unsafe", BASE)]
-    for label, (defense, threat, pinning) in sorted(scheme_grid().items()):
-        labeled.append((label,
-                        BASE.with_defense(defense, threat, pinning)))
-    return labeled
-
-
-_GRID = _grid_configs()
-
-
 class TestOptimizedRunLoop:
-    @pytest.mark.parametrize("config", [cfg for _, cfg in _GRID],
-                             ids=[label for label, _ in _GRID])
-    def test_run_matches_reference(self, config):
-        wl = small_workload(instructions=400)
-        opt = System(config, wl)
-        opt.mem.warm(wl)
-        ref = System(config, wl)
-        ref.mem.warm(wl)
-        assert opt.run() == ref.run_reference()
-        for a, b in zip(opt.cores, ref.cores):
-            assert a.stats.as_dict() == b.stats.as_dict()
-            assert a.controller.stats.as_dict() \
-                == b.controller.stats.as_dict()
-            assert a.retired == b.retired
+    @pytest.mark.parametrize("label", sorted(SCHEMES))
+    def test_run_matches_reference(self, label):
+        """Every scheme's fast-forwarded run has the counters of its
+        never-skip run."""
+        assert_matches_never_skip(SCHEMES[label],
+                                  small_workload(instructions=400), label)
 
 
 class TestFastForwardDeadlock:
     def test_deadlock_cycle_matches_reference(self):
         """A quiet deadlock (all cores frozen, no events) fast-forwards
-        straight to the detector — at the exact cycle the cycle-by-cycle
-        reference loop raises."""
+        straight to the detector — at the exact cycle the never-skip
+        run, which ticks every cycle, raises."""
         import dataclasses
         from repro.common.errors import DeadlockError
-        t0 = Trace([MicroOp(0, OpClass.BARRIER, barrier_id=0)], "t0")
-        t1 = Trace([MicroOp(0, OpClass.INT_ALU)], "t1")
-        hung = Workload([t0, t1], name="hung")
         config = dataclasses.replace(SystemConfig(num_cores=2),
                                      deadlock_cycles=3000)
         with pytest.raises(DeadlockError) as opt:
-            System(config, hung).run()
+            System(config, _hung_workload()).run()
         with pytest.raises(DeadlockError) as ref:
-            System(config, hung).run_reference()
-        assert opt.value.cycle == ref.value.cycle
+            System(never_skip(config), _hung_workload()).run()
+        assert opt.value.cycle == ref.value.cycle == 3004
 
 
 class TestBarrierMemoryBound:

@@ -4,12 +4,13 @@
 (the ``_wake_pending`` contract).  The property that keeps the
 optimization honest is: for *any* generated workload and *any* scheme,
 with or without chaos fault injection, ``run`` must be
-indistinguishable from the cycle-by-cycle ``run_reference`` loop —
-equal cycle counts and equal per-core pipeline *and* pinning
-statistics.  ``tests/test_soa_parity.py`` asserts the same parity over
-multi-core workloads and attack pairs.
+indistinguishable from the never-skip build of the same config
+(``sanitize=True``, which ticks every live core every cycle) — equal
+cycles and every counter equal (``tests/parity.py``).
+``tests/test_soa_parity.py`` asserts the same parity over multi-core
+workloads, InvisiSpec, the mutants and attack pairs.
 
-Sanitized runs (``config.sanitize``) are the escape hatch: the
+That reference only holds if sanitized runs really never skip: the
 engine's sanitized variant calls ``Sanitizer.check_tick`` after every
 tick and never quiet-skips, because the per-tick invariant checks are
 observations that a skipped cycle would silently drop.
@@ -17,65 +18,13 @@ observations that a skipped cycle would silently drop.
 
 import dataclasses
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.common.params import ChaosConfig, SystemConfig
-from repro.sim.runner import scheme_grid
 from repro.sim.system import System
-from repro.workloads import WorkloadProfile, build_workload
-
-BASE = SystemConfig()
-
-#: Label -> config for every scheme the paper measures, plus unsafe.
-SCHEMES = dict(
-    [("unsafe", BASE)]
-    + [(label, BASE.with_defense(defense, threat, pinning))
-       for label, (defense, threat, pinning)
-       in sorted(scheme_grid().items())])
-
-#: Every fault class on: jitter+reorder, NACKs, evictions, WB spikes.
-CHAOS = ChaosConfig(seed=3, wb_spike_interval=300)
-
-PROFILES = st.builds(
-    WorkloadProfile,
-    name=st.just("quiet"),
-    load_frac=st.floats(min_value=0.1, max_value=0.35),
-    store_frac=st.floats(min_value=0.02, max_value=0.15),
-    branch_frac=st.floats(min_value=0.02, max_value=0.25),
-    fp_frac=st.floats(min_value=0.0, max_value=0.9),
-    mispredict_rate=st.floats(min_value=0.0, max_value=0.15),
-    warm_frac=st.floats(min_value=0.0, max_value=0.3),
-    stream_frac=st.floats(min_value=0.0, max_value=0.2),
-    dependent_load_frac=st.floats(min_value=0.0, max_value=0.5),
-    hot_lines=st.integers(min_value=16, max_value=512),
-    warm_lines=st.integers(min_value=512, max_value=4096),
-)
-
-SLOW = settings(max_examples=10, deadline=None,
-                suppress_health_check=[HealthCheck.too_slow])
-
-
-def _run_both(config, workload):
-    """Fresh systems through both loops; returns (optimized, reference)."""
-    opt = System(config, workload)
-    opt.mem.warm(workload)
-    opt.run()
-    ref = System(config, workload)
-    ref.mem.warm(workload)
-    ref.run_reference()
-    return opt, ref
-
-
-def _assert_indistinguishable(opt, ref, label):
-    assert opt.cycles == ref.cycles, label
-    for oc, rc in zip(opt.cores, ref.cores):
-        assert oc.stats.as_dict() == rc.stats.as_dict(), \
-            f"{label}: core {oc.core_id} pipeline stats"
-        assert oc.controller.stats.as_dict() \
-            == rc.controller.stats.as_dict(), \
-            f"{label}: core {oc.core_id} pinning stats"
-        assert oc.retired == rc.retired, label
+from repro.workloads import build_workload
+from tests.golden_stats import CHAOS
+from tests.parity import PROFILES, SCHEMES, SLOW, assert_matches_never_skip
 
 
 class TestQuietUntilSoundness:
@@ -86,15 +35,14 @@ class TestQuietUntilSoundness:
            chaos=st.booleans())
     def test_run_matches_reference(self, profile, seed, label, chaos):
         """Fast-forward may only skip provably dead cycles: for any
-        workload, scheme, and fault schedule, ``run`` must match
-        ``run_reference`` on cycles and every per-core statistic."""
+        workload, scheme, and fault schedule, ``run`` must match the
+        never-skip run on cycles and every counter."""
         workload = build_workload(profile, seed=seed,
                                   instructions_per_thread=250)
         config = SCHEMES[label]
         if chaos:
             config = dataclasses.replace(config, chaos=CHAOS)
-        opt, ref = _run_both(config, workload)
-        _assert_indistinguishable(opt, ref,
+        assert_matches_never_skip(config, workload,
                                   f"{label} chaos={chaos} seed={seed}")
 
 

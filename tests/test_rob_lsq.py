@@ -25,12 +25,6 @@ class TestROBEntry:
         entry = ROBEntry(MicroOp(0, OpClass.INT_ALU), 0, 0)
         assert entry.line is None
 
-    def test_deps_ready(self):
-        entry = load_entry(1, deps=(0,))
-        assert not entry.deps_ready
-        entry.pending_deps = 0
-        assert entry.deps_ready
-
 
 class TestReorderBuffer:
     def test_fifo_head_tail(self):
@@ -38,7 +32,7 @@ class TestReorderBuffer:
         a, b = load_entry(0), load_entry(1)
         rob.push(a)
         rob.push(b)
-        assert rob.head() is a and rob.tail() is b
+        assert rob.head() is a
         assert rob.is_head(a) and not rob.is_head(b)
 
     def test_capacity(self):
@@ -60,9 +54,8 @@ class TestReorderBuffer:
         for i in range(3):
             rob.push(load_entry(i))
         assert rob.pop_head().index == 0
-        assert rob.pop_tail().index == 2
-        assert rob.find(0) is None and rob.find(2) is None
-        assert rob.find(1) is not None
+        assert rob.find(0) is None
+        assert rob.find(1) is not None and rob.find(2) is not None
 
 
 class TestLoadQueue:
@@ -106,15 +99,6 @@ class TestLoadQueue:
         vulnerable = lq.performed_unretired(line=1)
         assert vulnerable == [performed]
 
-    def test_snoop_pinned(self):
-        lq = LoadQueue(capacity=4)
-        entry = load_entry(0, addr=0x40)
-        lq.allocate(entry)
-        assert not lq.snoop_pinned(1)
-        entry.pinned = True
-        assert lq.snoop_pinned(1)
-        assert not lq.snoop_pinned(2)
-
 
 class TestStoreQueue:
     def test_forwarding_picks_youngest_older_known_store(self):
@@ -143,15 +127,6 @@ class TestStoreQueue:
         s.addr_ready = True
         sq.allocate(s)
         assert sq.forwarding_store(load_entry(2, addr=0x40)) is None
-
-    def test_older_unknown_address_window(self):
-        sq = StoreQueue(capacity=8)
-        s = store_entry(3)
-        sq.allocate(s)
-        assert sq.older_unknown_address(load_index=5)
-        assert not sq.older_unknown_address(load_index=2)
-        s.addr_ready = True
-        assert not sq.older_unknown_address(load_index=5)
 
     def test_release_head_enforces_order(self):
         sq = StoreQueue(capacity=4)

@@ -1,16 +1,19 @@
-"""Randomized parity of the engine against the ``run_reference`` oracle.
+"""Randomized parity of the engine against its never-skip build.
 
 ``System.run`` runs every configuration on ``repro.sim.engine`` —
 per-scheme specialized closures over precompiled trace arrays, with
 build-time variants for InvisiSpec, the defense mutants, sanitized runs
-and transient (attack) traces.  The property that keeps that one fast
-path honest: for *any* generated workload and *any* configuration —
-the 13 paper schemes, InvisiSpec x {comp, lp, ep, spectre}, both
-``DEFENSE_MUTATIONS``, sanitizer on or off — with or without chaos
-fault injection, the engine must be bit-indistinguishable from the
-cycle-by-cycle ``run_reference`` oracle: equal cycle counts, equal
-per-core pipeline *and* pinning statistics.  Attack pairs from
-``attack_cell`` (transient uops, NOP twins) get the same check.
+and transient (attack) traces — and fast-forwards over cycles it proves
+quiet.  The property that keeps the fast-forward honest: for *any*
+generated workload (1, 2 or 4 threads, with barriers) and *any*
+configuration — the 13 paper schemes, InvisiSpec x {comp, lp, ep,
+spectre}, both ``DEFENSE_MUTATIONS`` — with or without chaos fault
+injection, a run must be bit-indistinguishable from the same config
+with ``sanitize=True``, whose engine ticks every live core every cycle
+(``tests/parity.py``): equal cycles and equal counters, every one.
+Attack pairs from ``attack_cell`` (transient uops, NOP twins) get the
+same check.  What the cycle-by-cycle semantics are is pinned by
+``GOLDEN_STATS.json``.
 
 More properties pin down the seams:
 
@@ -25,64 +28,25 @@ More properties pin down the seams:
 import dataclasses
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.common.params import (DEFENSE_MUTATIONS, ChaosConfig,
-                                 DefenseKind, PinningMode, SystemConfig,
-                                 ThreatModel)
 from repro.security.attacks import ATTACK_CLASSES, attack_cores, \
     attack_workload
 from repro.sim.engine import SpecializedEngine
-from repro.sim.runner import collect_result, scheme_grid
+from repro.sim.runner import collect_result
 from repro.sim.system import System
 from repro.workloads import WorkloadProfile, build_workload
-
-BASE = SystemConfig()
-
-#: Label -> config for every scheme the paper measures, plus unsafe.
-SCHEMES = dict(
-    [("unsafe", BASE)]
-    + [(label, BASE.with_defense(defense, threat, pinning))
-       for label, (defense, threat, pinning)
-       in sorted(scheme_grid().items())])
+from tests import golden_stats
+from tests.golden_stats import CHAOS
+from tests.parity import (BASE, PROFILES, SLOW, assert_matches_never_skip,
+                          assert_same_counters, never_skip)
 
 #: Every engine variant: the paper grid, InvisiSpec under each
 #: extension, and each defense mutant on its own scheme.
-CONFIGS = dict(SCHEMES)
-for _ext, (_threat, _pinning) in {
-        "comp": (ThreatModel.MCV, PinningMode.NONE),
-        "lp": (ThreatModel.MCV, PinningMode.LATE),
-        "ep": (ThreatModel.MCV, PinningMode.EARLY),
-        "spectre": (ThreatModel.CTRL, PinningMode.NONE)}.items():
-    CONFIGS[f"invisi-{_ext}"] = BASE.with_defense(DefenseKind.INVISI,
-                                                  _threat, _pinning)
-for _mutation in DEFENSE_MUTATIONS:
-    _family = _mutation.split("-", 1)[0]
-    for _ext in ("comp", "ep"):
-        CONFIGS[f"{_family}-{_ext}+{_mutation}"] = dataclasses.replace(
-            SCHEMES[f"{_family}-{_ext}"], defense_mutation=_mutation)
-
-#: Every fault class on: jitter+reorder, NACKs, evictions, WB spikes.
-CHAOS = ChaosConfig(seed=3, wb_spike_interval=300)
-
-PROFILES = st.builds(
-    WorkloadProfile,
-    name=st.just("soa"),
-    load_frac=st.floats(min_value=0.1, max_value=0.35),
-    store_frac=st.floats(min_value=0.02, max_value=0.15),
-    branch_frac=st.floats(min_value=0.02, max_value=0.25),
-    fp_frac=st.floats(min_value=0.0, max_value=0.9),
-    mispredict_rate=st.floats(min_value=0.0, max_value=0.15),
-    warm_frac=st.floats(min_value=0.0, max_value=0.3),
-    stream_frac=st.floats(min_value=0.0, max_value=0.2),
-    dependent_load_frac=st.floats(min_value=0.0, max_value=0.5),
-    hot_lines=st.integers(min_value=16, max_value=512),
-    warm_lines=st.integers(min_value=512, max_value=4096),
-)
-
-SLOW = settings(max_examples=10, deadline=None,
-                suppress_health_check=[HealthCheck.too_slow])
+CONFIGS = {label: golden_stats.scheme_config_of(label, BASE)
+           for label in golden_stats.SCHEMES + golden_stats.INVISI
+           + golden_stats.MUTANTS}
 
 
 def _variant(label, chaos=False, sanitize=False, num_cores=1):
@@ -98,61 +62,44 @@ def _fresh(config, workload):
     return system
 
 
-def _assert_indistinguishable(opt, ref, label):
-    assert opt.cycles == ref.cycles, label
-    for oc, rc in zip(opt.cores, ref.cores):
-        assert oc.stats.as_dict() == rc.stats.as_dict(), \
-            f"{label}: core {oc.core_id} pipeline stats"
-        assert oc.controller.stats.as_dict() \
-            == rc.controller.stats.as_dict(), \
-            f"{label}: core {oc.core_id} pinning stats"
-        assert oc.retired == rc.retired, label
-
-
-def _assert_matches_reference(config, workload, label):
-    opt = _fresh(config, workload)
-    opt.run()
-    ref = _fresh(config, workload)
-    ref.run_reference()
-    _assert_indistinguishable(opt, ref, label)
-
-
 class TestEngineMatchesReference:
     @settings(SLOW, max_examples=20)
     @given(profile=PROFILES,
            seed=st.integers(min_value=1, max_value=50),
+           threads=st.sampled_from([1, 2, 4]),
+           barriers=st.integers(min_value=0, max_value=3),
            label=st.sampled_from(sorted(CONFIGS)),
-           chaos=st.booleans(),
-           sanitize=st.booleans())
-    def test_engine_matches_reference(self, profile, seed, label, chaos,
-                                      sanitize):
-        """For any workload, configuration, and fault schedule, the
-        engine run must match ``run_reference`` on cycles and every
-        per-core statistic."""
-        workload = build_workload(profile, seed=seed,
+           chaos=st.booleans())
+    def test_engine_matches_reference(self, profile, seed, threads,
+                                      barriers, label, chaos):
+        """For any workload, configuration, and fault schedule, a run
+        must match its never-skip run on cycles and every counter; 2-
+        and 4-thread draws reach the multi-core loop's per-core skip
+        and barrier wakeups."""
+        profile = dataclasses.replace(profile, barriers=barriers)
+        workload = build_workload(profile, seed=seed, num_threads=threads,
                                   instructions_per_thread=250)
-        _assert_matches_reference(
-            _variant(label, chaos, sanitize), workload,
-            f"{label} chaos={chaos} sanitize={sanitize} seed={seed}")
+        assert_matches_never_skip(
+            _variant(label, chaos, num_cores=threads), workload,
+            f"{label} chaos={chaos} threads={threads} "
+            f"barriers={barriers} seed={seed}")
 
     @SLOW
     @given(attack=st.sampled_from(ATTACK_CLASSES),
            secret=st.sampled_from([0, 1]),
            seed=st.integers(min_value=0, max_value=3),
            label=st.sampled_from(sorted(CONFIGS)),
-           chaos=st.booleans(),
-           sanitize=st.booleans())
+           chaos=st.booleans())
     def test_attack_pairs_match_reference(self, attack, secret, seed, label,
-                                          chaos, sanitize):
+                                          chaos):
         """Transient traces: guarded uops execute until their guard
-        resolves and replay as NOP twins — the engine's twin view must
-        reproduce the reference dispatch exactly."""
+        resolves and replay as NOP twins — the fast-forward must not
+        change when the twin view is re-synced."""
         workload = attack_workload(attack, secret, seed)
-        config = _variant(label, chaos, sanitize, attack_cores(attack))
-        _assert_matches_reference(
+        config = _variant(label, chaos, num_cores=attack_cores(attack))
+        assert_matches_never_skip(
             config, workload,
-            f"{attack}:s{secret}:seed{seed} {label} chaos={chaos} "
-            f"sanitize={sanitize}")
+            f"{attack}:s{secret}:seed{seed} {label} chaos={chaos}")
 
 
 class TestCheckpointMidRun:
@@ -224,7 +171,9 @@ class TestEveryConfigBuildsEngine:
     @pytest.mark.parametrize("label", sorted(CONFIGS))
     def test_config_runs_on_engine(self, label, sanitize):
         """No configuration falls back to another loop: mid-run the
-        system holds an engine, and it finishes matching the oracle."""
+        system holds an engine, and it finishes with the counters of
+        the never-skip run (for a sanitized config, of a second
+        sanitized run)."""
         workload = self._workload()
         config = _variant(label, sanitize=sanitize)
         opt = _fresh(config, workload)
@@ -233,6 +182,7 @@ class TestEveryConfigBuildsEngine:
         opt.run()
         assert opt.done and opt._engine is None, \
             f"{label}: a finished run keeps its engine"
-        ref = _fresh(config, workload)
-        ref.run_reference()
-        _assert_indistinguishable(opt, ref, f"{label} sanitize={sanitize}")
+        assert_same_counters(
+            golden_stats.counters(opt),
+            golden_stats.run_counters(never_skip(config), workload),
+            f"{label} sanitize={sanitize}")

@@ -1,87 +1,102 @@
 """STT taint tracking and Visibility-Point condition evaluation."""
 
-from repro.common.params import PinningMode, ThreatModel
+import dataclasses
+
+from repro.common.params import (COMPREHENSIVE, DefenseKind, PinningMode,
+                                 SystemConfig, ThreatModel)
 from repro.core.rob import ReorderBuffer, ROBEntry
+from repro.isa.compiled import compile_trace
+from repro.isa.trace import Trace, Workload
 from repro.isa.uops import MicroOp, OpClass
-from repro.security.taint import TaintTracker
 from repro.security.threat import (VPState, conditions_before_mcv,
                                    first_blocking_condition, vp_reached)
+from repro.sim.engine import _make_dispatch, _TraceView
+from repro.sim.system import System
 
 
 def entry_for(uop):
     return ROBEntry(uop, pending_deps=0, dispatch_cycle=0)
 
 
-def dispatch(rob, tracker, uop):
-    entry = entry_for(uop)
-    rob.push(entry)
-    tracker.on_dispatch(uop)
-    return entry
+def stt_core(*uops):
+    """A 1-wide STT core over a tiny trace, and the engine's dispatch
+    closure for it: each call dispatches the next uop, writing its
+    taint roots."""
+    base = SystemConfig().with_defense(DefenseKind.STT, COMPREHENSIVE,
+                                       PinningMode.NONE)
+    config = dataclasses.replace(
+        base, core=dataclasses.replace(base.core, width=1))
+    workload = Workload([Trace(list(uops), name="taint-t0")], name="taint")
+    core = System(config, workload).cores[0]
+    view = _TraceView(core, compile_trace(core.trace))
+    return core, _make_dispatch(core, view)
 
 
 class TestTaintTracker:
-    def setup_method(self):
-        self.rob = ReorderBuffer(capacity=32)
-        self.tracker = TaintTracker(self.rob)
+    """Roots as the engine's dispatch writes them; liveness as
+    ``TaintTracker`` reads it."""
+
+    def _dispatched(self, *uops):
+        core, dispatch = stt_core(*uops)
+        for _ in uops:
+            dispatch()
+        return core
 
     def test_load_output_rooted_at_itself(self):
-        dispatch(self.rob, self.tracker, MicroOp(0, OpClass.LOAD, addr=0x40))
-        assert self.tracker.output_roots(0) == frozenset({0})
+        core = self._dispatched(MicroOp(0, OpClass.LOAD, addr=0x40))
+        assert core.taint.output_roots(0) == frozenset({0})
 
     def test_alu_unions_operand_roots(self):
-        dispatch(self.rob, self.tracker, MicroOp(0, OpClass.LOAD, addr=0x40))
-        dispatch(self.rob, self.tracker,
-                 MicroOp(1, OpClass.LOAD, addr=0x80))
-        dispatch(self.rob, self.tracker,
-                 MicroOp(2, OpClass.INT_ALU, deps=(0, 1)))
-        assert self.tracker.output_roots(2) == frozenset({0, 1})
+        core = self._dispatched(MicroOp(0, OpClass.LOAD, addr=0x40),
+                                MicroOp(1, OpClass.LOAD, addr=0x80),
+                                MicroOp(2, OpClass.INT_ALU, deps=(0, 1)))
+        assert core.taint.output_roots(2) == frozenset({0, 1})
 
     def test_load_with_tainted_address_is_blocked(self):
-        dispatch(self.rob, self.tracker, MicroOp(0, OpClass.LOAD, addr=0x40))
-        consumer = dispatch(self.rob, self.tracker,
-                            MicroOp(1, OpClass.LOAD, deps=(0,), addr=0x80))
-        assert self.tracker.addr_tainted(consumer)
+        core = self._dispatched(
+            MicroOp(0, OpClass.LOAD, addr=0x40),
+            MicroOp(1, OpClass.LOAD, deps=(0,), addr=0x80))
+        assert core.taint.addr_tainted(core.rob.find(1))
 
     def test_untainted_when_producer_reaches_vp(self):
-        producer = dispatch(self.rob, self.tracker,
-                            MicroOp(0, OpClass.LOAD, addr=0x40))
-        consumer = dispatch(self.rob, self.tracker,
-                            MicroOp(1, OpClass.LOAD, deps=(0,), addr=0x80))
-        producer.vp_cycle = 10
-        assert not self.tracker.addr_tainted(consumer)
+        core = self._dispatched(
+            MicroOp(0, OpClass.LOAD, addr=0x40),
+            MicroOp(1, OpClass.LOAD, deps=(0,), addr=0x80))
+        core.rob.find(0).vp_cycle = 10
+        assert not core.taint.addr_tainted(core.rob.find(1))
 
     def test_untainted_when_producer_retired(self):
-        producer_uop = MicroOp(0, OpClass.LOAD, addr=0x40)
-        producer = dispatch(self.rob, self.tracker, producer_uop)
-        consumer = dispatch(self.rob, self.tracker,
-                            MicroOp(1, OpClass.LOAD, deps=(0,), addr=0x80))
-        assert self.tracker.addr_tainted(consumer)
-        assert self.rob.pop_head() is producer    # retire the producer
-        assert not self.tracker.addr_tainted(consumer)
+        core = self._dispatched(
+            MicroOp(0, OpClass.LOAD, addr=0x40),
+            MicroOp(1, OpClass.LOAD, deps=(0,), addr=0x80))
+        producer = core.rob.find(0)
+        consumer = core.rob.find(1)
+        assert core.taint.addr_tainted(consumer)
+        assert core.rob.pop_head() is producer    # retire the producer
+        assert not core.taint.addr_tainted(consumer)
 
     def test_taint_propagates_through_alu_chain(self):
-        dispatch(self.rob, self.tracker, MicroOp(0, OpClass.LOAD, addr=0x40))
-        dispatch(self.rob, self.tracker, MicroOp(1, OpClass.INT_ALU,
-                                                 deps=(0,)))
-        dispatch(self.rob, self.tracker, MicroOp(2, OpClass.INT_ALU,
-                                                 deps=(1,)))
-        consumer = dispatch(self.rob, self.tracker,
-                            MicroOp(3, OpClass.LOAD, deps=(2,), addr=0xC0))
-        assert self.tracker.addr_tainted(consumer)
+        core = self._dispatched(
+            MicroOp(0, OpClass.LOAD, addr=0x40),
+            MicroOp(1, OpClass.INT_ALU, deps=(0,)),
+            MicroOp(2, OpClass.INT_ALU, deps=(1,)),
+            MicroOp(3, OpClass.LOAD, deps=(2,), addr=0xC0))
+        assert core.taint.addr_tainted(core.rob.find(3))
 
     def test_load_with_untainted_operands_free(self):
-        dispatch(self.rob, self.tracker, MicroOp(0, OpClass.INT_ALU))
-        consumer = dispatch(self.rob, self.tracker,
-                            MicroOp(1, OpClass.LOAD, deps=(0,), addr=0x80))
-        assert not self.tracker.addr_tainted(consumer)
+        core = self._dispatched(
+            MicroOp(0, OpClass.INT_ALU),
+            MicroOp(1, OpClass.LOAD, deps=(0,), addr=0x80))
+        assert not core.taint.addr_tainted(core.rob.find(1))
 
     def test_post_vp_roots_pruned_at_dispatch(self):
-        producer = dispatch(self.rob, self.tracker,
-                            MicroOp(0, OpClass.LOAD, addr=0x40))
-        producer.vp_cycle = 5
-        dispatch(self.rob, self.tracker, MicroOp(1, OpClass.INT_ALU,
-                                                 deps=(0,)))
-        assert self.tracker.output_roots(1) == frozenset()
+        core, dispatch = stt_core(MicroOp(0, OpClass.LOAD, addr=0x40),
+                                  MicroOp(1, OpClass.INT_ALU, deps=(0,)))
+        dispatch()
+        core.rob.find(0).vp_cycle = 5
+        dispatch()
+        assert core.rob.find(1) is not None
+        assert core.taint.output_roots(1) == frozenset()
 
 
 class TestVPConditions:

@@ -173,7 +173,9 @@ class TestWakeupContractMutation:
     """Seeded mutation: delete the re-arm in an event callback."""
 
     def test_head_pipeline_is_clean(self, tmp_path):
-        root = copy_tree(tmp_path, "core/pipeline.py")
+        # the engine is the per-cycle caller of the core's stage
+        # helpers (``_lp_retry_parked`` runs only under its ``tick``)
+        root = copy_tree(tmp_path, "core/pipeline.py", "sim/engine.py")
         report = analyze_clean([root], passes=["wakeup-contract"])
         assert report.findings == [], report.render_text()
 
