@@ -284,9 +284,10 @@ class SystemConfig:
     #: without changing architectural outcomes.
     chaos: Optional[ChaosConfig] = None
     #: Test-only defense weakening (``DEFENSE_MUTATIONS``) for the
-    #: leakage oracle's mutant self-test.  Empty in every real
-    #: configuration; a mutated scheme runs the engine's always-eligible
-    #: issue loop, which is exactly what both weakenings amount to.
+    #: leakage oracle's mutant self-test, valid only on the defense its
+    #: prefix names.  Empty in every real configuration; a mutated
+    #: defense runs the engine's always-eligible issue loop, which is
+    #: exactly what both weakenings amount to.
     defense_mutation: str = ""
 
     @property
@@ -304,11 +305,16 @@ class SystemConfig:
         self.pinning.validate()
         if self.chaos is not None:
             self.chaos.validate()
-        if self.defense_mutation \
-                and self.defense_mutation not in DEFENSE_MUTATIONS:
-            raise ConfigError(
-                f"unknown defense mutation {self.defense_mutation!r}; "
-                f"choose from {DEFENSE_MUTATIONS}")
+        if self.defense_mutation:
+            if self.defense_mutation not in DEFENSE_MUTATIONS:
+                raise ConfigError(
+                    f"unknown defense mutation {self.defense_mutation!r}; "
+                    f"choose from {DEFENSE_MUTATIONS}")
+            family = self.defense_mutation.split("-", 1)[0]
+            if family != self.defense.value:
+                raise ConfigError(
+                    f"defense mutation {self.defense_mutation!r} weakens "
+                    f"{family}, not {self.defense.value}")
         if (self.pinning.mode is not PinningMode.NONE
                 and self.threat_model is not COMPREHENSIVE):
             raise ConfigError(

@@ -6,13 +6,14 @@ and drains the write buffer.  Completion of multi-cycle work (functional
 units, memory responses) arrives through the system event queue.
 
 The per-cycle stages are per-core closures that the engine running
-``System.run`` builds (``repro.sim.engine``); retire, dispatch and
-ready-uop issue exist only there.  This class holds the core's state
-and the semantics the closures call back into: the event callbacks
-(completion, address generation, branch resolution, load data), squash,
-the VP walk and the load-issue scan that schemes without an inlined
-engine loop keep (InvisiSpec), the retire checks of the serializing
-classes, atomics, barriers and the write-buffer drain.
+``System.run`` builds (``repro.sim.engine``); retire, dispatch,
+ready-uop issue, the load-issue scan, the VP walk and the pin chain
+exist only there.  This class holds the core's state and the semantics
+the closures call back into: the event callbacks (completion, address
+generation, branch resolution, load data), VP marking, the load-issue
+paths (plain, invisible, validation, Late Pinning), squash, the retire
+checks of the serializing classes, atomics, barriers and the
+write-buffer drain.
 
 The core implements the coherence layer's ``CorePort``: it is the component
 snooped on invalidations/evictions (TSO squash rule and pin deferral) and
@@ -34,21 +35,18 @@ from functools import partial
 from typing import Any, Dict, List, Optional
 
 from repro.common.events import EventQueue
-from repro.common.params import (DefenseKind, PinningMode, SystemConfig,
-                                 ThreatModel)
+from repro.common.params import DefenseKind, PinningMode, SystemConfig
 from repro.common.stats import StatSet
 from repro.core.lsq import LoadQueue, StoreQueue
-from repro.core.rob import (FLAG_ADDR_READY, FLAG_COMPLETE, FLAG_MCV_SAFE,
-                            FLAG_OUTSTANDING, FLAG_PARKED, FLAG_PERFORMED,
-                            FLAG_PINNED, FLAG_VP_CAND, ReorderBuffer,
-                            ROBEntry)
+from repro.core.rob import (FLAG_ADDR_READY, FLAG_COMPLETE, FLAG_INVISIBLE,
+                            FLAG_MCV_SAFE, FLAG_OUTSTANDING, FLAG_PARKED,
+                            FLAG_PERFORMED, FLAG_PINNED, FLAG_VP_CAND,
+                            ReorderBuffer, ROBEntry)
 from repro.isa.trace import Trace
 from repro.isa.uops import OpClass
 from repro.mem.coherence import CoherentMemory, CorePort
 from repro.mem.writebuffer import WriteBuffer
 from repro.pinning.controller import PinnedLoadsController
-from repro.security import make_scheme
-from repro.security.scheme import IssueMode
 from repro.security.taint import TaintTracker
 from repro.security.threat import VPState
 
@@ -77,7 +75,7 @@ class Core(CorePort):
     # instance dict; the hot per-cycle attributes still live in slots.
     __slots__ = (
         "core_id", "config", "trace", "mem", "events", "barriers", "stats",
-        "rob", "lq", "sq", "write_buffer", "vp_state", "scheme", "taint",
+        "rob", "lq", "sq", "write_buffer", "vp_state", "taint",
         "controller", "_pinning", "cycle", "done_cycle", "_cursor",
         "_fetch_resume", "_retired_upto", "_ready", "_waiting_loads",
         "_lp_parked", "_waiters", "_data_waiters", "_resolved_mispredicts",
@@ -104,7 +102,6 @@ class Core(CorePort):
         self.sq = StoreQueue(cp.store_queue_entries)
         self.write_buffer = WriteBuffer(cp.write_buffer_entries)
         self.vp_state = VPState()
-        self.scheme = make_scheme(config.defense, self)
         self.taint: Optional[TaintTracker] = (
             TaintTracker(self.rob) if config.defense is DefenseKind.STT
             else None)
@@ -140,7 +137,8 @@ class Core(CorePort):
         # hot-loop hoists: immutable facts and stable containers read
         # every cycle by the stages (the columns are never reassigned)
         self._trace_len = len(trace)
-        self._vp_active = self.scheme.gates_issue or self.taint is not None
+        # every defense but the Unsafe baseline gates issue on the VP
+        self._vp_active = config.defense is not DefenseKind.UNSAFE
         self._cols = self.rob.cols
         self._flags = self._cols.flags
         self._vp_col = self._cols.vp
@@ -234,7 +232,9 @@ class Core(CorePort):
         Always re-arms the wakeup flag: every caller is a mutation site
         (the VP walk, pin grants, oldest-load exemptions, LP authorized
         issues), including the calls that find ``vp_cycle`` already set
-        but changed ``mcv_safe`` just before."""
+        but changed ``mcv_safe`` just before.  An invisibly-performed
+        load (InvisiSpec) is no longer squashable, so it is exposed by
+        its validation access."""
         self._wake_pending = True
         cols = entry.cols
         slot = entry.slot
@@ -244,57 +244,8 @@ class Core(CorePort):
                 cols.flags[slot] &= ~FLAG_VP_CAND
                 self._vp_candidates -= 1
             self.stats.bump("vp_reached")
-            self.scheme.on_load_vp(entry)
-
-    def _update_vps(self) -> None:
-        """Mark loads whose VP conditions now hold, walking the load
-        queue in program order and skipping non-candidates (no address
-        yet, or VP already marked) on a single flags read.
-
-        The walk is equivalent to the seed's full-LQ walk: candidates
-        carry ``FLAG_VP_CAND`` (set at address generation, cleared on
-        mark/squash), and ``_vp_candidates`` counts them so an empty
-        frontier skips the walk entirely — a sound "nothing to mark"
-        signal for the engine's quiet probe, since the flag is only ever
-        set from an address-ready event.  The below conditions over
-        *older* uops are monotone in program order, so the walk stops at
-        the first candidate that fails them; non-candidates never reached
-        the per-load checks in the seed walk (they ``continue``d first),
-        so skipping them changes nothing, and candidates are visited in
-        ascending program order, preserving the marking (and therefore
-        event-scheduling) order exactly."""
-        if not self.scheme.gates_issue and self.taint is None:
-            return
-        if not self._vp_candidates:
-            return
-        level = self.config.threat_model.level
-        pinned_mode = self._pinning
-        aggressive = self.config.pinning.aggressive_tso
-        vp = self.vp_state
-        for load in self.lq:
-            if not load.vp_candidate:
-                continue
-            index = load.index
-            # conditions over *older* uops are monotone in program order:
-            # once one fails, it fails for every younger load too
-            if not vp.unresolved_branches.none_below(index):
-                break
-            if level >= ThreatModel.ALIAS.level \
-                    and not vp.unknown_addr_stores.none_below(index):
-                break
-            if level >= ThreatModel.EXCEPT.level \
-                    and not vp.unknown_addr_memops.none_below(index):
-                break
-            if level >= ThreatModel.MCV.level:
-                if pinned_mode:
-                    if not load.mcv_safe:
-                        break
-                elif aggressive:
-                    if not vp.unretired_loads.none_below(index):
-                        break
-                elif not self.rob.is_head(load):
-                    break
-            self.note_vp_reached(load)
+            if cols.flags[slot] & FLAG_INVISIBLE:
+                self.issue_validation(entry)
 
     # ------------------------------------------------------------------
     # Issue
@@ -400,42 +351,6 @@ class Core(CorePort):
 
     # -- loads -----------------------------------------------------------
 
-    def _issue_waiting_loads(self) -> None:
-        if not self._waiting_loads:
-            return
-        self._waiting_loads.sort()
-        budget = L1_PORTS
-        keep: List[int] = []
-        # every kept load stalled by its scheme (not by the port budget)
-        # → re-running this stage is a no-op until an event or a flagged
-        # mutation flips an issue mode; read by the engine's quiet probe
-        stalled_only = True
-        rob = self.rob
-        for index in self._waiting_loads:
-            entry = rob.find(index)
-            if entry.issued:
-                continue
-            mode = self._load_issue_mode(entry)
-            if budget and mode is not IssueMode.STALL:
-                if mode is IssueMode.INVISIBLE:
-                    self._issue_load_invisible(entry)
-                else:
-                    self._issue_load(entry)
-                budget -= 1
-            else:
-                keep.append(index)
-                if mode is not IssueMode.STALL:
-                    stalled_only = False
-        self._waiting_loads = keep
-        self._waiting_stalled = stalled_only
-
-    def _load_issue_mode(self, entry: ROBEntry) -> IssueMode:
-        if not self.scheme.gates_issue:
-            return IssueMode.NORMAL
-        if entry.vp_cycle is not None:
-            return IssueMode.NORMAL
-        return self.scheme.pre_vp_issue_mode(entry)
-
     def _issue_load(self, entry: ROBEntry) -> None:
         entry.issued = True
         forwarding = self.sq.forwarding_store(entry)
@@ -455,7 +370,7 @@ class Core(CorePort):
     def _issue_load_invisible(self, entry: ROBEntry) -> None:
         """Invisible-speculation issue: the load gets its data without any
         cache/coherence side effects; a visible validation access follows
-        at its VP (scheme hook ``on_load_vp``)."""
+        at its VP (``note_vp_reached``)."""
         entry.issued = True
         forwarding = self.sq.forwarding_store(entry)
         if forwarding is None and self.write_buffer.contains_line(entry.line):
@@ -492,7 +407,7 @@ class Core(CorePort):
 
     def issue_validation(self, entry: ROBEntry) -> None:
         """Issue the visible validation access for an invisibly-performed
-        load (called by the scheme when the load reaches its VP)."""
+        load once it reached its VP and its invisible fetch returned."""
         if entry.squashed or entry.validated:
             return
         if entry.outstanding:

@@ -13,9 +13,8 @@ mutable field that must survive the slot's reuse (``squashed`` — stale
 event callbacks holding a squashed handle must see it dead even after
 the slot hosts the replayed incarnation).  Every other field reads and
 writes the columns through properties, so non-hot code (the pinning
-controller, the schemes, the sanitizer, unit tests) keeps its attribute
-syntax while the specialized engine closures index the columns
-directly.  The same ``MicroOp`` may be dispatched several times
+controller, the sanitizer, unit tests) keeps its attribute syntax while
+the specialized engine closures index the columns directly.  The same ``MicroOp`` may be dispatched several times
 (squash-and-replay), each time with a fresh handle over a reset slot.
 """
 
@@ -145,7 +144,6 @@ class ROBEntry:
     barrier_notified = _flag_property(FLAG_NOTIFIED)
     invisible = _flag_property(FLAG_INVISIBLE)
     validated = _flag_property(FLAG_VALIDATED)
-    vp_candidate = _flag_property(FLAG_VP_CAND)
 
     @property
     def pending_deps(self) -> int:

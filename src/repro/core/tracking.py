@@ -11,8 +11,8 @@ The VP *frontier* — the set of loads whose VP could be marked this cycle
 side dict of candidate entries.  With the column layout a candidate is
 one flag bit (``FLAG_VP_CAND``) plus a live counter on the core
 (``Core._vp_candidates``), and the walk is a load-queue ring scan that
-skips non-candidates on a single flags read; see ``Core._update_vps``
-for the equivalence argument against the seed's full-LQ walk.
+skips non-candidates on a single flags read; see the engine's
+``_make_update_vps`` (``repro.sim.engine``).
 """
 
 from __future__ import annotations

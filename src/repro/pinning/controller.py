@@ -1,7 +1,10 @@
 """The Pinned Loads controller: Late and Early Pinning (paper §5).
 
-The controller walks the load queue in program order each cycle and tries
-to make the first not-yet-MCV-safe load safe.  A load becomes MCV-safe by:
+The pin chain (``repro.sim.engine``'s ``_make_controller_tick``) walks
+the load queue in program order each cycle and tries to make the first
+not-yet-MCV-safe load safe; this class holds the pinning state and the
+pin, deny and Early Pinning steps the chain calls.  A load becomes
+MCV-safe by:
 
 * the oldest-load exemption — under the aggressive TSO implementation the
   oldest load in the ROB can never be MCV-squashed (§3.3), so it passes the
@@ -23,8 +26,8 @@ A load may be pinned only if (paper invariants):
    caches had space (§5.2.1).
 
 LQ IDs are allocated from a wide tag (24 bits by default); on wraparound
-the controller drains — stops pinning until every pinned load retires —
-then clears the CSTs and restarts (§6.2).
+the chain drains — stops pinning until every pinned load retires — then
+clears the CSTs and restarts (§6.2).
 """
 
 from __future__ import annotations
@@ -33,32 +36,28 @@ from typing import Dict, Optional, Set, Tuple
 
 from repro.common.params import PinningMode
 from repro.common.stats import StatSet
-from repro.core.rob import FLAG_MCV_SAFE, ROBEntry
+from repro.core.rob import ROBEntry
 from repro.pinning.cpt import CannotPinTable
 from repro.pinning.cst import CacheShadowTable
 from repro.pinning.recording import L1TagPinRecord
-
-#: "No live value" sentinel for hoisted LazyMinSet mins (above any index).
-_NO_MIN = 1 << 62
 
 
 class PinnedLoadsController:
     """Per-core pinning logic shared by the LP and EP designs.
 
     Quiet/wakeup contract (the engine's quiet probe,
-    ``repro.sim.engine``): ``tick`` is a pure function of state that
-    only changes through event-mediated or flagged transitions —
+    ``repro.sim.engine``): the pin chain is a pure function of state
+    that only changes through event-mediated or flagged transitions —
     coherence messages (CPT inserts/clears, invalidations), fills (LP
     data arrival), retires and squashes (releases, write-buffer and
-    serializing windows), and dispatches
-    (LQ ID allocation).  Every one of those re-arms the core's
-    ``_wake_pending`` flag, so the optimized run loop may skip the
-    controller's tick whenever the flag is clear: rerunning the pin
-    chain on unchanged state denies the same load for the same reason
-    and pins nothing.  Denial statistics are therefore counted per
-    *episode* — once per (load, reason) — never per retry tick, so they
-    are identical whether the chain reruns every cycle (the reference
-    loop) or only on wakeups (the optimized loop).
+    serializing windows), and dispatches (LQ ID allocation).  Every one
+    of those re-arms the core's ``_wake_pending`` flag, so the run loop
+    may skip the chain whenever the flag is clear: rerunning it on
+    unchanged state denies the same load for the same reason and pins
+    nothing.  Denial statistics are therefore counted per *episode* —
+    once per (load, reason) — never per retry tick, so they are
+    identical whether the chain reruns every cycle (the never-skip
+    build) or only on wakeups (the fast-forward).
     """
 
     # "__dict__" stays in the slots: the opt-in invariant sanitizer
@@ -193,93 +192,15 @@ class PinnedLoadsController:
             self._pinned_counts[line] = remaining
 
     # ------------------------------------------------------------------
-    # Per-cycle pin chain
+    # Pin-chain steps
     # ------------------------------------------------------------------
-
-    def tick(self) -> None:
-        if self.mode is PinningMode.NONE:
-            return
-        if self._draining:
-            if self.pinned_total == 0:
-                self._draining = False
-                self.l1_cst.clear()
-                self.dir_cst.clear()
-            else:
-                return
-        lq = self.core.lq
-        if lq._tail == lq._head:
-            return
-        # The pin chain never mutates the VP condition sets (it marks
-        # ``mcv_safe``/``vp_cycle`` and touches CST/CPT state only), so
-        # each set's min is read once per chain run instead of once per
-        # ``none_below`` probe per load.  The pre-MCV conditions
-        # (branches + alias + exception windows, per
-        # ``conditions_before_mcv`` at the EXCEPT level) merge into one
-        # bound: they are all side-effect-free index compares.
-        vp = self.core.vp_state
-        m = vp.unresolved_branches.min()
-        bound = m if m is not None else _NO_MIN
-        m = vp.unknown_addr_stores.min()
-        if m is not None and m < bound:
-            bound = m
-        m = vp.unknown_addr_memops.min()
-        if m is not None and m < bound:
-            bound = m
-        m = vp.serializing.min()
-        ser_bound = m if m is not None else _NO_MIN
-        m = vp.unretired_loads.min()
-        url_bound = m if m is not None else _NO_MIN
-        ring = lq._ring
-        qmask = lq._qmask
-        for pos in range(lq._head, lq._tail):
-            load = ring[pos & qmask]
-            if load.cols.flags[load.slot] & FLAG_MCV_SAFE:
-                continue
-            if not self._try_make_safe(load, bound, ser_bound, url_bound):
-                break
-
-    def _try_make_safe(self, load: ROBEntry, bound: int, ser_bound: int,
-                       url_bound: int) -> bool:
-        """Try to make the first non-safe load MCV-safe.  Returns True when
-        the chain may continue to the next (younger) load this cycle.
-        The bounds are the chain-constant set mins hoisted by ``tick``
-        (``_NO_MIN`` when the set is empty)."""
-        # forwarded loads never read a cache line: trivially MCV-safe
-        if load.forwarded and load.performed:
-            load.mcv_safe = True
-            self.core.note_vp_reached(load)
-            return True
-        index = load.index
-        if not load.addr_ready or bound < index:
-            return False
-        if ser_bound < index:
-            self._deny(load, "pin_denied_serializing")
-            return False
-        # oldest-load exemption: no pin resources needed (§3.3)
-        if self.params.aggressive_tso and url_bound >= index:
-            load.mcv_safe = True
-            self.stats.bump("oldest_exemptions")
-            self.core.note_vp_reached(load)
-            return True
-        if self.cpt.pinning_blocked:
-            self._deny(load, "pin_denied_cpt_blocked")
-            return False
-        if load.line in self.cpt:
-            self._deny(load, "pin_denied_cpt")
-            return False
-        if not self._write_buffer_ok(load):
-            self._deny(load, "pin_denied_wb")
-            return False
-        if self.mode is PinningMode.EARLY:
-            return self._early_pin(load)
-        return self._late_pin(load)
 
     def _deny(self, load: ROBEntry, reason: str) -> None:
         """Count a pin-chain denial once per (load, reason) episode.  A
         denied pin retries on every chain run; how often the chain runs
-        is a property of the run *loop* (every cycle under the reference
-        loop, wakeups only under the optimized one), so per-retry counts
-        would not be loop-invariant."""
+        depends on the fast-forward (every cycle in the never-skip build,
+        wakeups only otherwise), so per-retry counts would not be
+        invariant under it."""
         reasons = self._denied_reasons.setdefault(load.lq_id, set())
         if reason not in reasons:
             reasons.add(reason)
@@ -289,7 +210,8 @@ class PinnedLoadsController:
         """§5.1.2: every yet-to-complete store older than the load must fit
         in the write buffer, or the Figure 4 deadlock becomes possible.
         The SQ is program-ordered, so the older-store count stops at the
-        first younger store."""
+        first younger store.  The chain inlines this test; the
+        sanitizer's ``pin-wb`` invariant checks each pin against it."""
         index = load.index
         older_sq_stores = 0
         for store in self.core.sq:
@@ -341,23 +263,6 @@ class PinnedLoadsController:
             self.stats.bump(f"cst_{which}_false_positives")
 
     # -- Late Pinning ----------------------------------------------------
-
-    def _late_pin(self, load: ROBEntry) -> bool:
-        if load.performed:
-            # e.g. the load already executed speculatively under DOM/STT;
-            # its line is still resident (else it would have been squashed)
-            self._pin(load)
-            return True
-        if load.parked:
-            # data arrived but pinning failed then; retried in lp_retry()
-            return False
-        if load.outstanding:
-            return False
-        if not load.addr_ready or load.issued:
-            return False
-        # authorize the issue; the pin happens on data arrival
-        self.core.issue_load_for_pinning(load)
-        return False
 
     def on_pinned_fill(self, load: ROBEntry) -> None:
         """An already-pinned load's data arrived: in the §6.1.2 design the

@@ -1,34 +1,14 @@
-"""Threat models, taint tracking, and the hardware defense schemes."""
+"""Threat models, taint tracking, attack traces and the leakage oracle.
 
-from repro.common.params import DefenseKind
-from repro.security.dom import DelayOnMissScheme
-from repro.security.fence import FenceScheme
-from repro.security.invisi import InvisibleSpecScheme
-from repro.security.scheme import DefenseScheme, IssueMode
-from repro.security.stt import STTScheme
+The defenses themselves are no classes: each ``DefenseKind`` is one
+branch of the engine's load-issue scan (``repro.sim.engine``).
+"""
+
 from repro.security.taint import TaintTracker
 from repro.security.threat import (VPState, conditions_before_mcv,
                                    first_blocking_condition, vp_reached)
-from repro.security.unsafe import UnsafeScheme
-
-SCHEME_CLASSES = {
-    DefenseKind.UNSAFE: UnsafeScheme,
-    DefenseKind.FENCE: FenceScheme,
-    DefenseKind.DOM: DelayOnMissScheme,
-    DefenseKind.STT: STTScheme,
-    DefenseKind.INVISI: InvisibleSpecScheme,
-}
-
-
-def make_scheme(kind: DefenseKind, core) -> DefenseScheme:
-    """Instantiate the defense scheme for one core."""
-    return SCHEME_CLASSES[kind](core)
-
 
 __all__ = [
-    "DefenseScheme", "DelayOnMissScheme", "FenceScheme", "IssueMode",
-    "InvisibleSpecScheme", "STTScheme",
-    "TaintTracker", "UnsafeScheme", "VPState", "conditions_before_mcv",
-    "first_blocking_condition", "make_scheme", "vp_reached",
-    "SCHEME_CLASSES",
+    "TaintTracker", "VPState", "conditions_before_mcv",
+    "first_blocking_condition", "vp_reached",
 ]

@@ -20,16 +20,14 @@ dedicated ``tick``/``quiet_until`` pair over the core's hot state:
 * store-to-load forwarding scans the SQ ring *backward* from the tail,
   so the youngest matching store is the first hit, and the VP frontier
   is a candidate-flag column scan over the LQ ring gated by a counter;
-* the pre-VP issue-mode test is inlined per defense family: fence
+* the pre-VP issue test is inlined per defense family: fence
   (post-VP only), DOM (post-VP or L1 hit), STT (post-VP or untainted
   address), always (unsafe, and the ``DEFENSE_MUTATIONS`` mutants,
-  whose weakened scheme answers every pre-VP query "issue"), instead
-  of two virtual calls per load per scan — with the STT root-liveness
-  probe reduced to window-bounds integer compares against the VP
-  column.  A scheme without an inlined test (InvisiSpec, whose loads
-  issue invisibly and validate at their VP, or a new one) keeps
-  ``Core._issue_waiting_loads``, and one that overrides the
-  ``on_load_vp`` hook keeps ``Core._update_vps``.
+  whose weakening amounts to "every pre-VP load may issue"),
+  InvisiSpec (post-VP normally, pre-VP invisibly) — with the STT
+  root-liveness probe reduced to window-bounds integer compares
+  against the VP column.  A new defense is a ``DefenseKind`` member
+  plus a branch in ``_make_issue_loads``; there is no generic fallback.
 
 Two more build-time variants cover the checker paths, so the code the
 sanitizer and the leakage oracle check is the code that produces the
@@ -42,10 +40,12 @@ figures:
   the per-uop arrays in which a uop whose guard has resolved reads as
   its NOP twin (``_TraceView``).
 
-The closures are the only implementation of retire, dispatch and
-ready-uop issue; the rest of the core's semantics are ``Core`` methods
-they call back into.  Three references check them, none of which a
-change to this file can move along with it:
+The closures are the only implementation of retire, dispatch,
+ready-uop issue, the load-issue scan, the VP walk and the pin chain;
+the rest of the core's semantics are ``Core`` and
+``PinnedLoadsController`` methods they call back into.  Three
+references check them, none of which a change to this file can move
+along with it:
 
 * ``GOLDEN_STATS.json`` pins every counter of a fixed set of cells
   (``tests/test_golden_stats.py``);
@@ -96,7 +96,6 @@ from repro.core.rob import (FLAG_ADDR_READY, FLAG_COMPLETE, FLAG_FORWARDED,
 from repro.isa.compiled import (OP_ATOMIC, OP_BARRIER, OP_BRANCH, OP_FENCE,
                                 OP_INT_ALU, OP_LOAD, OP_STORE,
                                 CompiledTrace, compile_trace)
-from repro.security.scheme import DefenseScheme
 
 #: Quiet bound meaning "quiet until the next event".
 QUIET_FOREVER = 1 << 62
@@ -277,17 +276,17 @@ def _make_issue_one(core: Core) -> Callable:
 
 
 def _make_issue_loads(core: Core, view: _TraceView) -> Callable[[], None]:
-    """Specialized ``_issue_waiting_loads``: same sort / port budget /
-    keep / ``_waiting_stalled`` contract as the stage method, with the
-    two-virtual-call pre-VP issue-mode test inlined per defense family,
-    the issue path inlined (``_make_issue_one``), the per-load stat
-    bumps batched per scan, and the keep list compacted in place.  The
-    waiting list holds plain indices; squashed ones were purged, so the
-    only skip test left is one flags read (already issued for
-    pinning).  A scheme without an inlined test here — InvisiSpec,
-    whose loads issue invisibly, or a new one — keeps the stage
-    method."""
-    defense = core.config.defense
+    """The load-issue scan: waiting loads in program order, at most
+    ``L1_PORTS`` issued per tick, each defense's pre-VP eligibility test
+    inlined as one branch below, the issue path inlined
+    (``_make_issue_one``), the per-load stat bumps batched per scan, and
+    the keep list compacted in place.  The waiting list holds plain
+    indices; squashed ones were purged, so the only skip test left is
+    one flags read (already issued for pinning).  ``_waiting_stalled``
+    records that every kept load was stalled by its defense, not by the
+    port budget, for the quiet probe."""
+    config = core.config
+    defense = config.defense
     issue = _make_issue_one(core)
     stats = core.stats
     handles = core._handles
@@ -295,7 +294,7 @@ def _make_issue_loads(core: Core, view: _TraceView) -> Callable[[], None]:
     flags = core._flags
     vp_col = core._vp_col
 
-    if defense is DefenseKind.UNSAFE or core.scheme.mutated:
+    if defense is DefenseKind.UNSAFE or config.defense_mutation:
         def issue_loads() -> None:  # repro: hot
             wl = core._waiting_loads
             wl.sort()
@@ -446,21 +445,55 @@ def _make_issue_loads(core: Core, view: _TraceView) -> Callable[[], None]:
                 if issued > missed:
                     stats.bump("loads_forwarded", issued - missed)
 
+    elif defense is DefenseKind.INVISI:
+        # no load stalls: a pre-VP load issues invisibly (no cache or
+        # coherence side effect) and ``note_vp_reached`` validates it
+        issue_invisible = core._issue_load_invisible
+
+        def issue_loads() -> None:  # repro: hot
+            wl = core._waiting_loads
+            wl.sort()
+            budget = L1_PORTS
+            stalled_only = True
+            issued = missed = 0
+            w = 0
+            for index in wl:
+                slot = index & mask
+                if flags[slot] & FLAG_ISSUED:
+                    continue
+                if budget:
+                    budget -= 1
+                    if vp_col[slot] >= 0:
+                        issued += 1
+                        missed += issue(handles[slot])
+                    else:
+                        issue_invisible(handles[slot])
+                    continue
+                stalled_only = False
+                wl[w] = index
+                w += 1
+            del wl[w:]
+            core._waiting_stalled = stalled_only
+            if issued:
+                if missed:
+                    stats.bump("loads_issued", missed)
+                if issued > missed:
+                    stats.bump("loads_forwarded", issued - missed)
+
     else:
-        return core._issue_waiting_loads
+        raise ValueError(f"no load-issue scan for defense {defense}")
 
     return issue_loads
 
 
 def _make_update_vps(core: Core) -> Callable[[], None]:
-    """Specialized VP walk: threat-model levels and the pinning-mode
-    branch become closure constants, and the candidate walk is a flags
-    scan over the LQ ring gated by the core's candidate counter.  A
-    scheme that overrides the ``on_load_vp`` hook (InvisiSpec issues a
-    validation access there) keeps ``Core._update_vps``: the hoisted
-    walk below assumes marking a load does nothing else."""
-    if type(core.scheme).on_load_vp is not DefenseScheme.on_load_vp:
-        return core._update_vps
+    """The VP walk: threat-model levels and the pinning-mode branch
+    become closure constants, and the candidate walk is a flags scan
+    over the LQ ring gated by the core's candidate counter.  Candidates
+    (``FLAG_VP_CAND``, set at address generation, cleared on mark or
+    squash) are visited in ascending program order, and the conditions
+    over *older* uops are monotone in program order, so the walk stops
+    at the first candidate that fails them."""
     level = core.config.threat_model.level
     chk_alias = level >= ThreatModel.ALIAS.level
     chk_except = level >= ThreatModel.EXCEPT.level
@@ -497,13 +530,16 @@ def _make_update_vps(core: Core) -> Callable[[], None]:
         if not core._vp_candidates:
             return
         # The VP condition sets only shrink at retire / resolve events,
-        # never during this walk (marking a load clears its candidate
-        # flag; its ``on_load_vp`` hook is the base no-op), so each
-        # set's min is read once.  The index-bound break conditions are
-        # monotone and side-effect free, so "break on the first failing
-        # bound" equals "break when the index passes the smallest
-        # applicable bound" — and the break may fire on non-candidates
-        # too, since any later candidate has a larger index.
+        # never during this walk: marking a load clears its candidate
+        # flag, and the one memory access a mark can start (an
+        # InvisiSpec validation) only schedules events, so no fill,
+        # eviction or invalidation squashes a load mid-walk.  Each
+        # set's min is therefore read once.  The index-bound break
+        # conditions are monotone and side-effect free, so "break on
+        # the first failing bound" equals "break when the index passes
+        # the smallest applicable bound" — and the break may fire on
+        # non-candidates too, since any later candidate has a larger
+        # index.
         while ub_heap and ub_heap[0] not in ub_live:
             heappop(ub_heap)
         bound = ub_heap[0] if ub_heap else _NO_MIN
@@ -875,22 +911,20 @@ def _make_dispatch(core: Core, view: _TraceView) -> Callable[[], None]:
 
 
 def _make_controller_tick(core: Core) -> Callable[[], None]:
-    """Specialized pin chain for the lp/ep cells.  The generic
-    ``PinnedLoadsController.tick`` already hoists the set mins per chain
-    run; here the five ``LazyMinSet.min`` calls inline to heap cleanups,
-    and the chain prefix every blocked tick re-walks — already-safe
-    loads, the address/branch-bound block, the serializing block, the
-    oldest-load exemption — runs on flags reads and integer compares
-    before falling back to ``_try_make_safe`` for the resource checks
-    (CPT / write buffer / CST / LP issue).  Same marks, same denial
-    episodes, same order; the drain path delegates to the generic tick.
-    """
+    """The pin chain of the lp/ep cells (paper §5): walk the LQ in
+    program order and try to make the first not-yet-MCV-safe load safe,
+    by the forwarded-load shortcut, the oldest-load exemption, or a pin
+    (``PinnedLoadsController`` lists the pin conditions).  The chain
+    never mutates the VP condition sets, so the five set mins are read
+    once per run (inlined ``LazyMinSet.min`` heap cleanups), and the
+    prefix every blocked tick re-walks runs on flags reads and integer
+    compares.  After an LQ-ID wraparound the chain drains (§6.2): it
+    pins nothing until every pinned load retired, then clears both CSTs
+    and restarts."""
     ctl = core.controller
-    generic_tick = ctl.tick
     deny = ctl._deny
     aggressive = ctl.params.aggressive_tso
     early = ctl.mode is PinningMode.EARLY
-    early_pin = ctl._early_pin
     issue_for_pin = core.issue_load_for_pinning
     cpt = ctl.cpt
     cpt_lines = cpt._lines
@@ -920,8 +954,11 @@ def _make_controller_tick(core: Core) -> Callable[[], None]:
 
     def controller_tick() -> None:  # repro: hot
         if ctl._draining:
-            generic_tick()      # rare: LQ-ID wraparound drain + restart
-            return
+            if ctl.pinned_total:
+                return
+            ctl._draining = False
+            ctl.l1_cst.clear()
+            ctl.dir_cst.clear()
         head = lq._head
         tail = lq._tail
         if tail == head:
@@ -950,7 +987,7 @@ def _make_controller_tick(core: Core) -> Callable[[], None]:
             f = flags[slot]
             if f & FLAG_MCV_SAFE:
                 continue
-            # --- inlined _try_make_safe fast paths (same order) ---
+            # forwarded loads never read a cache line: trivially safe
             if f & FLAG_FORWARDED and f & FLAG_PERFORMED:
                 flags[slot] |= FLAG_MCV_SAFE
                 note(load)
@@ -961,12 +998,12 @@ def _make_controller_tick(core: Core) -> Callable[[], None]:
             if ser_bound < index:
                 deny(load, "pin_denied_serializing")
                 break
+            # oldest-load exemption: no pin resources needed (§3.3)
             if aggressive and url_bound >= index:
                 flags[slot] |= FLAG_MCV_SAFE
                 stats.bump("oldest_exemptions")
                 note(load)
                 continue
-            # --- inlined resource checks (same order, same episodes) ---
             if cpt._overflowed:
                 deny(load, "pin_denied_cpt_blocked")
                 break
@@ -984,10 +1021,15 @@ def _make_controller_tick(core: Core) -> Callable[[], None]:
                 deny(load, "pin_denied_wb")
                 break
             if early:
-                if early_pin(load):
+                # called through the attribute, so the wakeup-contract
+                # pass's call graph sees this caller of ``_early_pin``
+                if ctl._early_pin(load):
                     continue
                 break
-            # --- inlined _late_pin (addr_ready already established) ---
+            # Late Pinning: a performed load (it executed pre-VP under
+            # DOM/STT, and its line is still resident or it would have
+            # been squashed) pins now; an unissued one is authorized to
+            # issue and pins on data arrival (§5.2.1)
             if f & FLAG_PERFORMED:
                 # resolved at call time: the invariant sanitizer shadows
                 # ``_pin`` on the controller instance

@@ -6,8 +6,8 @@ run under a caller that does"), so the wakeup and event-discipline
 passes need to know, for each function, which functions call it.
 
 Resolution is deliberately name-based — a lint, not a type checker:
-``controller.tick()`` is an edge to *every* function defined with the
-bare name ``tick``.  Over-approximating the caller set makes
+``ctl._pin(load)`` is an edge to *every* function defined with the
+bare name ``_pin``.  Over-approximating the caller set makes
 caller-coverage *optimistic* (a mutation is excused if some same-named
 covered function could be the caller), which is the right bias for a
 contract checker that must not drown real violations in false

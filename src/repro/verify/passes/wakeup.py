@@ -80,9 +80,9 @@ WAKE_OBJECT_METHODS = {
 #: function names covered by convention, not by re-arming:
 #: ``__init__`` runs during construction (before any tick can sleep);
 #: ``tick`` is the per-cycle entry point (the engine's per-core
-#: closures, ``PinnedLoadsController.tick``) — any state it moves is
-#: observed by the very cycle executing it, and the engine's ``tick``
-#: owns the flag's clear/handoff itself.
+#: closure, which calls every stage closure: the VP walk, the pin
+#: chain, the load-issue scan) — any state it moves is observed by the
+#: very cycle executing it, and it owns the flag's clear/handoff itself.
 WAKE_EXEMPT_ROOTS = {"__init__", "tick"}
 
 WAKE_FLAG = "_wake_pending"

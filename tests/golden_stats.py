@@ -23,14 +23,18 @@ the two outputs; the package path each side imported goes to stderr::
 This module imports nothing beyond the standard library and ``repro``
 APIs that older trees also have, so it can drive either tree.
 
-Cell names are ``<workload>/<scheme>[/chaos]``:
+Cell names are ``<workload>/<scheme>[/chaos][/lqid7]``:
 
 * ``<workload>`` is ``<spec17 app>@<insns>``, ``<parallel app>@<threads>
   x<insns per thread>`` or ``attack:<class>:s<secret>:seed<k>``;
 * ``<scheme>`` is ``unsafe``, a ``scheme_grid`` label (``fence-ep``),
   ``invisi-<comp|lp|ep|spectre>``, or a grid label plus a defense
   mutant (``dom-comp+dom-leaky-miss``);
-* ``/chaos`` turns on every fault class (``CHAOS``).
+* ``/chaos`` turns on every fault class (``CHAOS``);
+* ``/lqid7`` shrinks the LQ-ID tag to 7 bits, so a pinned run that
+  dispatches more than 128 loads wraps the tag and drains (paper §6.2).
+  Random draws put it on some pinned cells; the golden cells leave it
+  off.
 """
 
 from __future__ import annotations
@@ -61,6 +65,9 @@ REGENERATE = "PYTHONPATH=src python -m tests.golden_stats"
 
 #: Every fault class on: jitter+reorder, NACKs, evictions, WB spikes.
 CHAOS = ChaosConfig(seed=3, wb_spike_interval=300)
+
+#: The ``/lqid7`` LQ-ID tag width: 128 IDs before a wraparound drain.
+LQID7_TAG_BITS = 7
 
 #: The unsafe baseline plus the 12 paper schemes (Tables 2/3).
 SCHEMES = ["unsafe", *scheme_grid()]
@@ -126,14 +133,25 @@ def _workload_of(spec: str) -> Tuple[SystemConfig, Workload]:
     return SystemConfig(), spec17_workload(app, instructions=int(size))
 
 
+def with_lqid7(config: SystemConfig) -> SystemConfig:
+    """``config`` with the ``/lqid7`` LQ-ID tag width."""
+    pinning = dataclasses.replace(config.pinning,
+                                  lq_id_tag_bits=LQID7_TAG_BITS)
+    return dataclasses.replace(config, pinning=pinning)
+
+
 def build(name: str) -> Tuple[SystemConfig, Workload]:
     """The (config, workload) pair a cell name stands for."""
     spec, scheme, *rest = name.split("/")
     base, workload = _workload_of(spec)
     config = scheme_config_of(scheme, base)
-    if rest == ["chaos"]:
+    if rest[:1] == ["chaos"]:
         config = dataclasses.replace(config, chaos=CHAOS)
-    elif rest:
+        rest = rest[1:]
+    if rest[:1] == ["lqid7"]:
+        config = with_lqid7(config)
+        rest = rest[1:]
+    if rest:
         raise ValueError(f"malformed cell name {name!r}")
     return config, workload
 
@@ -184,9 +202,13 @@ def diff(expected: Dict[str, Any], actual: Dict[str, Any]) -> List[str]:
 
 def random_cells(seed: int, count: int) -> List[str]:
     """``count`` cell names drawn from scheme x InvisiSpec x mutants x
-    chaos x 1/2/8 threads x attack pairs."""
+    chaos x 1/2/8 threads x attack pairs, with a 7-bit LQ-ID tag on
+    some pinned cells."""
     rng = random.Random(seed)
     schemes = SCHEMES + INVISI + MUTANTS
+    pinned = {scheme for scheme in schemes
+              if scheme_config_of(scheme, SystemConfig()).pinning.mode
+              is not PinningMode.NONE}
     cells = []
     for _ in range(count):
         kind = rng.choice(("1", "2", "8", "attack"))
@@ -200,7 +222,9 @@ def random_cells(seed: int, count: int) -> List[str]:
                 else rng.randrange(200, 801)
             spec = f"{rng.choice(PARALLEL_NAMES)}@{kind}x{per_thread}"
         chaos = "/chaos" if rng.random() < 0.3 else ""
-        cells.append(f"{spec}/{rng.choice(schemes)}{chaos}")
+        scheme = rng.choice(schemes)
+        lqid = "/lqid7" if scheme in pinned and rng.random() < 0.3 else ""
+        cells.append(f"{spec}/{scheme}{chaos}{lqid}")
     return cells
 
 

@@ -1,18 +1,21 @@
-"""PinnedLoadsController unit tests against a minimal fake core.
+"""Pin-chain unit tests against a minimal fake core.
 
 These isolate the §5 pinning rules from pipeline timing: program-order
 pinning, the oldest-load exemption, the write-buffer check, CPT blocking,
 LQ-ID wraparound draining, and Late Pinning's pin-on-arrival handshake.
+Each ``tick`` runs the engine's pin chain (``_make_controller_tick``)
+over the fake core's queues and controller.
 """
 
 from repro.common.params import (CoreParams, PinnedLoadsParams, PinningMode,
                                  SystemConfig)
 from repro.core.lsq import LoadQueue, StoreQueue
-from repro.core.rob import ROBEntry
+from repro.core.rob import ColumnState, ROBEntry
 from repro.isa.uops import MicroOp, OpClass
 from repro.mem.writebuffer import WriteBuffer
 from repro.pinning.controller import PinnedLoadsController
 from repro.security.threat import VPState
+from repro.sim.engine import _make_controller_tick
 
 
 class FakeMem:
@@ -35,6 +38,9 @@ class FakeCore:
         self.write_buffer = WriteBuffer(4)
         self.vp_state = VPState()
         self.mem = FakeMem()
+        # one column block for every load and store; slot = index
+        self.cols = ColumnState(64)
+        self._flags = self.cols.flags
         self.vp_notes = []
         self.issue_requests = []
 
@@ -49,10 +55,16 @@ class FakeCore:
         self.note_vp_reached(entry)
 
 
+def tick(ctl):
+    """One run of the engine's pin chain over the fake core."""
+    ctl.core.controller = ctl
+    _make_controller_tick(ctl.core)()
+
+
 def make_load(core, controller, index, line, addr_ready=True,
               performed=False):
     uop = MicroOp(index, OpClass.LOAD, addr=line * 64)
-    entry = ROBEntry(uop, 0, 0)
+    entry = ROBEntry(uop, 0, 0, cols=core.cols, slot=index)
     entry.addr_ready = addr_ready
     entry.performed = performed
     core.lq.allocate(entry)
@@ -67,7 +79,7 @@ class TestProgramOrderPinning:
         ctl = PinnedLoadsController(core)
         first = make_load(core, ctl, 0, line=10)
         second = make_load(core, ctl, 1, line=20)
-        ctl.tick()
+        tick(ctl)
         assert first.mcv_safe and not first.pinned   # exemption, no pin
         assert second.mcv_safe and second.pinned
         assert ctl.stats["oldest_exemptions"] == 1
@@ -79,7 +91,7 @@ class TestProgramOrderPinning:
         make_load(core, ctl, 0, line=10)
         blocked = make_load(core, ctl, 1, line=20, addr_ready=False)
         younger = make_load(core, ctl, 2, line=30)
-        ctl.tick()
+        tick(ctl)
         assert not blocked.mcv_safe
         assert not younger.mcv_safe    # strict program order
 
@@ -88,10 +100,10 @@ class TestProgramOrderPinning:
         ctl = PinnedLoadsController(core)
         load = make_load(core, ctl, 5, line=10)
         core.vp_state.unresolved_branches.add(2)
-        ctl.tick()
+        tick(ctl)
         assert not load.mcv_safe
         core.vp_state.unresolved_branches.discard(2)
-        ctl.tick()
+        tick(ctl)
         assert load.mcv_safe
 
     def test_serializing_op_blocks_younger_pins(self):
@@ -99,7 +111,7 @@ class TestProgramOrderPinning:
         ctl = PinnedLoadsController(core)
         core.vp_state.serializing.add(3)
         load = make_load(core, ctl, 5, line=10)
-        ctl.tick()
+        tick(ctl)
         assert not load.mcv_safe
         assert ctl.stats["pin_denied_serializing"] >= 1
 
@@ -109,7 +121,7 @@ class TestProgramOrderPinning:
         load = make_load(core, ctl, 0, line=10, performed=True)
         load.forwarded = True
         younger = make_load(core, ctl, 1, line=20)
-        ctl.tick()
+        tick(ctl)
         assert load.mcv_safe and not load.pinned
         assert younger.mcv_safe
 
@@ -117,7 +129,7 @@ class TestProgramOrderPinning:
 class TestWriteBufferCheck:
     def _store(self, core, index):
         uop = MicroOp(index, OpClass.STORE, addr=index * 64)
-        entry = ROBEntry(uop, 0, 0)
+        entry = ROBEntry(uop, 0, 0, cols=core.cols, slot=index)
         core.sq.allocate(entry)
         return entry
 
@@ -128,7 +140,7 @@ class TestWriteBufferCheck:
         for i in range(1, 6):
             self._store(core, i)            # 5 stores > 4 WB entries
         load = make_load(core, ctl, 6, line=10)
-        ctl.tick()
+        tick(ctl)
         assert not load.pinned
         assert ctl.stats["pin_denied_wb"] >= 1
 
@@ -141,7 +153,7 @@ class TestWriteBufferCheck:
         for i in range(1, 3):
             self._store(core, i)            # + 2 in SQ = 5 > 4
         load = make_load(core, ctl, 6, line=10)
-        ctl.tick()
+        tick(ctl)
         assert not load.pinned
 
 
@@ -152,11 +164,11 @@ class TestCPTInteraction:
         make_load(core, ctl, 0, line=99)
         load = make_load(core, ctl, 1, line=10)
         ctl.cpt_insert(10)
-        ctl.tick()
+        tick(ctl)
         assert not load.pinned
         assert ctl.stats["pin_denied_cpt"] >= 1
         ctl.cpt_clear(10)
-        ctl.tick()
+        tick(ctl)
         assert load.pinned
 
     def test_cpt_overflow_blocks_all_pinning(self):
@@ -166,7 +178,7 @@ class TestCPTInteraction:
         ctl.cpt_insert(60)    # overflow: refuse + block
         make_load(core, ctl, 0, line=99)
         load = make_load(core, ctl, 1, line=10)
-        ctl.tick()
+        tick(ctl)
         assert not load.pinned
         assert ctl.stats["pin_denied_cpt_blocked"] >= 1
 
@@ -177,7 +189,7 @@ class TestLatePinning:
         ctl = PinnedLoadsController(core)
         make_load(core, ctl, 0, line=99)           # oldest: exempt
         load = make_load(core, ctl, 1, line=10)
-        ctl.tick()
+        tick(ctl)
         assert core.issue_requests == [1]
         assert not load.pinned                      # not until data returns
         assert ctl.lp_data_arrived(load)
@@ -188,7 +200,7 @@ class TestLatePinning:
         ctl = PinnedLoadsController(core)
         make_load(core, ctl, 0, line=99)
         load = make_load(core, ctl, 1, line=10)
-        ctl.tick()
+        tick(ctl)
         ctl.cpt_insert(10)                          # Inv* raced the data
         assert not ctl.lp_data_arrived(load)
         assert not load.pinned
@@ -200,7 +212,7 @@ class TestLatePinning:
         ctl = PinnedLoadsController(core)
         make_load(core, ctl, 0, line=99)
         load = make_load(core, ctl, 1, line=10, performed=True)
-        ctl.tick()
+        tick(ctl)
         assert load.pinned
         assert not core.issue_requests or core.issue_requests == []
 
@@ -210,20 +222,20 @@ class TestWraparound:
         core = FakeCore(PinningMode.EARLY, lq_id_tag_bits=2)   # ids 0..3
         ctl = PinnedLoadsController(core)
         loads = [make_load(core, ctl, i, line=10 + i) for i in range(4)]
-        ctl.tick()
+        tick(ctl)
         pinned_now = [l for l in loads if l.pinned]
         assert pinned_now
         # the 5th dispatch wraps the 2-bit tag: draining begins
         extra = make_load(core, ctl, 4, line=50)
         assert ctl.stats["lq_id_wraparounds"] == 1
-        ctl.tick()
+        tick(ctl)
         assert not extra.pinned
         # retire everything: drain completes, pinning resumes
         for load in loads:
             core.lq.release_head(load)
             core.vp_state.unretired_loads.discard(load.index)
             ctl.on_load_retire(load)
-        ctl.tick()
+        tick(ctl)
         assert extra.mcv_safe
 
     def test_unpin_on_retire_and_counts(self):
@@ -231,7 +243,7 @@ class TestWraparound:
         ctl = PinnedLoadsController(core)
         make_load(core, ctl, 0, line=99)
         load = make_load(core, ctl, 1, line=10)
-        ctl.tick()
+        tick(ctl)
         assert ctl.has_pinned(10)
         core.lq.release_head(core.lq.oldest())
         core.vp_state.unretired_loads.discard(0)
@@ -247,7 +259,7 @@ class TestWraparound:
         make_load(core, ctl, 0, line=99)
         a = make_load(core, ctl, 1, line=10)
         b = make_load(core, ctl, 2, line=10)
-        ctl.tick()
+        tick(ctl)
         assert a.pinned and b.pinned
         ctl.on_load_retire(a)
         assert ctl.has_pinned(10)      # b still pins the line

@@ -6,7 +6,6 @@ from repro.common.params import (DefenseKind, PinningMode, SystemConfig,
                                  ThreatModel)
 from repro.isa.trace import Trace, Workload
 from repro.isa.uops import MicroOp, OpClass
-from repro.security.scheme import IssueMode
 from repro.sim.runner import run_simulation
 from repro.workloads import spec17_workload
 
@@ -76,12 +75,6 @@ class TestInvisibleIssue:
         invisi = run(uops, config_invisi)
         fence = run(uops, config_fence)
         assert invisi.cycles <= fence.cycles
-
-    def test_issue_mode_enum(self):
-        from repro.security import InvisibleSpecScheme
-        scheme = InvisibleSpecScheme(core=None)
-        assert scheme.pre_vp_issue_mode(None) is IssueMode.INVISIBLE
-        assert scheme.may_issue_pre_vp(None)
 
 
 class TestInvisiWithPinning:

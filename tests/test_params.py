@@ -3,10 +3,10 @@
 import pytest
 
 from repro.common.errors import ConfigError
-from repro.common.params import (COMPREHENSIVE, SPECTRE, CacheParams,
-                                 CoreParams, DefenseKind, NetworkParams,
-                                 PinnedLoadsParams, PinningMode,
-                                 SystemConfig, ThreatModel)
+from repro.common.params import (COMPREHENSIVE, DEFENSE_MUTATIONS, SPECTRE,
+                                 CacheParams, CoreParams, DefenseKind,
+                                 NetworkParams, PinnedLoadsParams,
+                                 PinningMode, SystemConfig, ThreatModel)
 
 
 class TestThreatModel:
@@ -99,6 +99,18 @@ class TestSystemConfig:
             pinning=PinnedLoadsParams(mode=PinningMode.EARLY))
         with pytest.raises(ConfigError):
             config.validate()
+
+    def test_rejects_defense_mutation_on_another_family(self):
+        for mutation in DEFENSE_MUTATIONS:
+            own = DefenseKind(mutation.split("-", 1)[0])
+            SystemConfig(defense=own, defense_mutation=mutation).validate()
+            for other in DefenseKind:
+                if other is own:
+                    continue
+                config = SystemConfig(defense=other,
+                                      defense_mutation=mutation)
+                with pytest.raises(ConfigError, match="weakens"):
+                    config.validate()
 
     def test_with_defense_builds_table3_cell(self):
         config = SystemConfig().with_defense(

@@ -8,7 +8,8 @@ quiet.  The property that keeps the fast-forward honest: for *any*
 generated workload (1, 2 or 4 threads, with barriers) and *any*
 configuration — the 13 paper schemes, InvisiSpec x {comp, lp, ep,
 spectre}, both ``DEFENSE_MUTATIONS`` — with or without chaos fault
-injection, a run must be bit-indistinguishable from the same config
+injection and with or without a 7-bit LQ-ID tag (pinned runs then wrap
+it and drain), a run must be bit-indistinguishable from the same config
 with ``sanitize=True``, whose engine ticks every live core every cycle
 (``tests/parity.py``): equal cycles and equal counters, every one.
 Attack pairs from ``attack_cell`` (transient uops, NOP twins) get the
@@ -69,19 +70,24 @@ class TestEngineMatchesReference:
            threads=st.sampled_from([1, 2, 4]),
            barriers=st.integers(min_value=0, max_value=3),
            label=st.sampled_from(sorted(CONFIGS)),
-           chaos=st.booleans())
+           chaos=st.booleans(),
+           lqid7=st.booleans())
     def test_engine_matches_reference(self, profile, seed, threads,
-                                      barriers, label, chaos):
+                                      barriers, label, chaos, lqid7):
         """For any workload, configuration, and fault schedule, a run
         must match its never-skip run on cycles and every counter; 2-
         and 4-thread draws reach the multi-core loop's per-core skip
-        and barrier wakeups."""
+        and barrier wakeups, and a 7-bit LQ-ID tag the §6.2 drain of
+        the pin chain (about half of such pinned draws wrap)."""
         profile = dataclasses.replace(profile, barriers=barriers)
         workload = build_workload(profile, seed=seed, num_threads=threads,
                                   instructions_per_thread=250)
+        config = _variant(label, chaos, num_cores=threads)
+        if lqid7:
+            config = golden_stats.with_lqid7(config)
         assert_matches_never_skip(
-            _variant(label, chaos, num_cores=threads), workload,
-            f"{label} chaos={chaos} threads={threads} "
+            config, workload,
+            f"{label} chaos={chaos} lqid7={lqid7} threads={threads} "
             f"barriers={barriers} seed={seed}")
 
     @SLOW
