@@ -23,11 +23,8 @@ exactly that.
 
 from __future__ import annotations
 
-import os
 import random
-import signal
-import time
-from typing import Dict, Optional, Tuple
+from typing import Dict, Tuple
 
 from repro.common.params import ChaosConfig
 
@@ -63,12 +60,6 @@ class ChaosEngine:
         if cfg.wb_spike_interval:
             events.schedule_after(cfg.wb_spike_interval,
                                   self._wb_spike_start)
-        if cfg.crash_at_cycle is not None:
-            events.schedule(cfg.crash_at_cycle, self._maybe_crash)
-        if cfg.stall_at_cycle is not None:
-            events.schedule(cfg.stall_at_cycle, self._maybe_stall)
-        if cfg.alloc_at_cycle is not None:
-            events.schedule(cfg.alloc_at_cycle, self._maybe_alloc)
 
     # ------------------------------------------------------------------
     # Hooks consulted by the memory system
@@ -187,44 +178,3 @@ class ChaosEngine:
 
     def _wb_spike_end(self, core_id: int) -> None:
         self.system.cores[core_id].write_buffer.backpressure = False
-
-    # ------------------------------------------------------------------
-    # Executor fault injection (tests for the self-healing executor)
-    # ------------------------------------------------------------------
-
-    def _worker_attempt(self) -> Optional[int]:
-        """The current pool-worker attempt number, or ``None`` when not
-        running inside an executor pool worker (serial runs and direct
-        ``System.run`` calls never inject process faults)."""
-        # deferred import: repro.sim.executor imports the sim stack
-        from repro.sim import executor
-        if not executor.IN_POOL_WORKER:
-            return None
-        return executor.CURRENT_ATTEMPT
-
-    def _maybe_crash(self) -> None:
-        attempt = self._worker_attempt()
-        if attempt is None or attempt > self.config.crash_attempts:
-            return
-        os.kill(os.getpid(), signal.SIGKILL)
-
-    def _maybe_stall(self) -> None:
-        attempt = self._worker_attempt()
-        if attempt is None or attempt > self.config.stall_attempts:
-            return
-        time.sleep(self.config.stall_seconds)
-
-    def _maybe_alloc(self) -> None:
-        """Model a runaway simulation: allocate ``alloc_mb`` MiB and keep
-        it live.  Under an executor worker memory ceiling
-        (``Executor(worker_memory_mb=...)``) this raises ``MemoryError``
-        inside the worker, which the executor maps to a retryable "oom"
-        task failure — the host is never the OOM victim."""
-        attempt = self._worker_attempt()
-        if attempt is None or attempt > self.config.alloc_attempts:
-            return
-        # the allocation is transient (never stored on the engine):
-        # address space must be committed at construction, which is
-        # where RLIMIT_AS bites
-        ballast = bytearray(self.config.alloc_mb << 20)
-        del ballast

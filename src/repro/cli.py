@@ -8,7 +8,7 @@ Commands:
 * ``workloads``  — list the available benchmark profiles
 * ``hardware``   — the Table 1 CST cost rows from the analytical model
 * ``verify``     — the verification passes (``model``, ``trace``,
-  ``lint``, ``analyze``); see ``docs/verification.md``
+  ``analyze``); see ``docs/verification.md``
 * ``chaos``      — the seeded fault-injection campaign (N seeds per
   cell must be architecturally identical); see ``docs/resilience.md``
 * ``attack``     — the adversarial leakage campaign (per-scheme,
@@ -183,22 +183,6 @@ def _cmd_verify_trace(args) -> int:
     return 0
 
 
-def _cmd_verify_lint(args) -> int:
-    from pathlib import Path
-
-    from repro.verify.lint import lint_paths
-    paths = [Path(p) for p in args.paths] or [Path(__file__).parent]
-    for path in paths:
-        if not path.exists():
-            raise SystemExit(f"repro verify lint: no such path: {path}")
-    findings = lint_paths(paths)
-    for finding in findings:
-        print(finding)
-    print(f"{len(findings)} finding(s) in "
-          f"{', '.join(str(p) for p in paths)}")
-    return 1 if findings else 0
-
-
 def _cmd_verify_analyze(args) -> int:
     import json
     import sys
@@ -349,8 +333,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     verify_p = sub.add_parser(
         "verify",
-        help="protocol model check / sanitized run / lint / "
-             "static contract analysis")
+        help="protocol model check / sanitized run / static "
+             "contract analysis")
     verify_sub = verify_p.add_subparsers(dest="pass_name", required=True)
 
     model_p = verify_sub.add_parser(
@@ -399,15 +383,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="accept all current findings into the "
                                 "baseline and exit 0")
     analyze_p.set_defaults(func=_cmd_verify_analyze)
-
-    lint_p = verify_sub.add_parser(
-        "lint", help="determinism/idiom lint over the sources "
-                     "(compatible alias for the analyze framework's "
-                     "lint pass)")
-    lint_p.add_argument("paths", nargs="*",
-                        help="files/directories (default: the installed "
-                        "repro package)")
-    lint_p.set_defaults(func=_cmd_verify_lint)
 
     chaos_p = sub.add_parser(
         "chaos", help="seeded fault-injection campaign (must be "

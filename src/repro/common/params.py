@@ -202,17 +202,6 @@ class ChaosConfig:
     * ``mutate`` — campaign self-test: "evict-pinned" lets the forced
       eviction target pinned lines, which a correct sanitizer/campaign
       MUST flag.
-    * ``crash_at_cycle`` / ``stall_at_cycle`` — executor fault
-      injection (tests): SIGKILL the worker process / sleep
-      ``stall_seconds`` of wall-clock when the simulated clock reaches
-      the cycle, on attempts below ``crash_attempts``/``stall_attempts``
-      only, and only inside pool worker processes.
-    * ``alloc_at_cycle`` / ``alloc_mb`` — executor fault injection
-      (tests): model a runaway simulation by allocating ``alloc_mb``
-      MiB when the simulated clock reaches the cycle, on attempts below
-      ``alloc_attempts`` only, and only inside pool worker processes;
-      under an executor worker memory ceiling this dies as a retryable
-      ``MemoryError`` instead of OOMing the host.
     """
 
     seed: int = 0
@@ -226,14 +215,6 @@ class ChaosConfig:
     wb_spike_interval: int = 0
     wb_spike_duration: int = 50
     mutate: str = ""
-    crash_at_cycle: Optional[int] = None
-    crash_attempts: int = 1
-    stall_at_cycle: Optional[int] = None
-    stall_seconds: float = 0.0
-    stall_attempts: int = 1
-    alloc_at_cycle: Optional[int] = None
-    alloc_mb: int = 512
-    alloc_attempts: int = 1
 
     def validate(self) -> None:
         for name in ("msg_jitter_prob", "nack_prob"):
@@ -241,7 +222,7 @@ class ChaosConfig:
             if not 0.0 <= value <= 1.0:
                 raise ConfigError(f"{name} must be in [0, 1], not {value}")
         for name in ("msg_jitter", "evict_interval", "wb_spike_interval",
-                     "wb_spike_duration", "stall_seconds", "alloc_mb"):
+                     "wb_spike_duration"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be >= 0")
         for name in ("nack_backoff", "nack_backoff_cap", "max_nacks"):

@@ -86,8 +86,8 @@ def _variant_label(key: _VariantKey) -> str:
 
 
 def _executor_runner(keys: List[_VariantKey], jobs: int) -> VariantRunner:
-    """Resolve every variant up front through the self-healing executor
-    (one content-addressed task per variant), then serve from the
+    """Resolve every variant up front through the executor (one
+    content-addressed task per variant), then serve from the
     result map.  ``--jobs 1`` and ``--jobs N`` are bit-identical by
     construction: tasks are pure (config, workload) functions."""
     from repro.sim.executor import Executor, Task

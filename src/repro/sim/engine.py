@@ -1241,8 +1241,7 @@ class SpecializedEngine:
             self._ticks.append(tick)
             self._quiets.append(quiet)
 
-    def run(self, max_cycles: int = 50_000_000,
-            stop_cycle: Optional[int] = None) -> int:
+    def run(self, max_cycles: int = 50_000_000) -> int:
         # The run loop allocates in a steady state (entry handles, event
         # tuples) with no reference cycles on the hot path; pausing the
         # generational collector for the duration avoids periodic full
@@ -1252,14 +1251,13 @@ class SpecializedEngine:
             gc.disable()
         try:
             if len(self._cores) == 1:
-                return self._run_single(max_cycles, stop_cycle)
-            return self._run_multi(max_cycles, stop_cycle)
+                return self._run_single(max_cycles)
+            return self._run_multi(max_cycles)
         finally:
             if paused:
                 gc.enable()
 
-    def _run_single(self, max_cycles: int,
-                    stop_cycle: Optional[int]) -> int:
+    def _run_single(self, max_cycles: int) -> int:
         system = self.system
         core = self._cores[0]
         tick = self._ticks[0]
@@ -1273,8 +1271,6 @@ class SpecializedEngine:
         last_progress_cycle = cycle
         last_retired = -1
         while core.done_cycle is None:
-            if stop_cycle is not None and cycle >= stop_cycle:
-                break
             cycle += 1
             if heap and heap[0][0] <= cycle:
                 run_until(cycle)
@@ -1306,15 +1302,12 @@ class SpecializedEngine:
                     target = deadlock_at
                 if max_cycles < target:
                     target = max_cycles
-                if stop_cycle is not None and stop_cycle < target:
-                    target = stop_cycle
                 if target > cycle + 1:
                     cycle = target - 1
         system.cycles = cycle
         return cycle
 
-    def _run_multi(self, max_cycles: int,
-                   stop_cycle: Optional[int]) -> int:
+    def _run_multi(self, max_cycles: int) -> int:
         """Multi-core loop with batched quiet-region stepping: each live
         core caches its last ``quiet_until`` bound, and its tick is
         skipped while the bound covers the cycle, no event fired, and
@@ -1341,8 +1334,6 @@ class SpecializedEngine:
                 in zip(self._cores, self._ticks, self._quiets)
                 if core.done_cycle is None]
         while live:
-            if stop_cycle is not None and cycle >= stop_cycle:
-                break
             cycle += 1
             fired = bool(heap) and heap[0][0] <= cycle
             if fired:
@@ -1392,8 +1383,6 @@ class SpecializedEngine:
                     target = deadlock_at
                 if max_cycles < target:
                     target = max_cycles
-                if stop_cycle is not None and stop_cycle < target:
-                    target = stop_cycle
                 if target > cycle + 1:
                     cycle = target - 1
         system.cycles = cycle

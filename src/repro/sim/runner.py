@@ -30,13 +30,7 @@ def run_simulation(config: SystemConfig, workload: Workload,
 
 
 def collect_result(system: System) -> SimResult:
-    """Assemble the ``SimResult`` of a completed system.
-
-    Split from ``run_simulation`` so a run paused and continued with
-    ``System.run(stop_cycle=...)`` collects its results through exactly
-    the same code as an uninterrupted one — the bit-identity the
-    pause/continue tests assert is of *this* function's output.
-    """
+    """Assemble the ``SimResult`` of a completed system."""
     config = system.config
     workload = system.workload
     result = SimResult(

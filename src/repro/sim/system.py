@@ -90,38 +90,24 @@ class System:
                 # event goes through the trace-recording shims
                 self.sanitizer.attach_chaos(self.chaos)
             self.chaos.install()
-        # lazily-built run loop (repro.sim.engine), after the sanitizer
-        # and chaos wrappers above are in place
-        self._engine = None
 
-    def run(self, max_cycles: int = 50_000_000,
-            stop_cycle: Optional[int] = None) -> int:
+    def run(self, max_cycles: int = 50_000_000) -> int:
         """Run to completion of every trace; returns the cycle reached.
-
-        ``stop_cycle`` pauses the run once that cycle has been simulated
-        (instead of running to completion), e.g. to inspect the machine
-        mid-run; calling ``run`` again continues from ``self.cycles``
-        and the stitched run is bit-identical to an uninterrupted one.
 
         Every configuration runs on the struct-of-arrays engine
         (``repro.sim.engine``), sanitized, transient and InvisiSpec
-        systems included.  A sanitized system never fast-forwards, and
-        every other run must match it counter for counter
+        systems included.  The engine is built here, after the
+        sanitizer and chaos wrappers are in place, and not kept: a
+        finished system never ticks again.  A sanitized system never
+        fast-forwards, and every other run must match it counter for
+        counter
         (``tests/test_soa_parity.py``); ``GOLDEN_STATS.json`` pins the
         counters themselves (``tests/test_golden_stats.py``).
         """
-        engine = self._engine
-        if engine is None:
-            from repro.sim.engine import build_engine
-            engine = self._engine = build_engine(self)
-        cycle = engine.run(max_cycles, stop_cycle)
-        if self.done:
-            # a finished system never ticks again: free the closures and
-            # their per-build trace views now, not when the (cyclic)
-            # system graph is collected
-            self._engine = None
-            if self.sanitizer is not None:
-                self.sanitizer.finish()
+        from repro.sim.engine import build_engine
+        cycle = build_engine(self).run(max_cycles)
+        if self.sanitizer is not None:
+            self.sanitizer.finish()
         return cycle
 
     @property
@@ -134,7 +120,7 @@ class System:
         return all(core.done for core in self.cores)
 
     def diagnostic_dump(self, cycle: Optional[int] = None) -> Dict:
-        """Structured snapshot of the stuck (or paused) machine, attached
+        """Structured snapshot of the stuck machine, attached
         to ``DeadlockError`` so postmortems don't need a rerun: per-core
         ROB head and oldest-load state, the earliest pending events, and
         pin/CPT occupancy (inside each core's ``debug_state``)."""

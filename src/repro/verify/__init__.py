@@ -22,13 +22,12 @@ Every protocol or pinning change must keep ``repro verify model`` and
 """
 
 from repro.verify.explorer import ExplorationResult, explore
-from repro.verify.lint import Finding, lint_paths, lint_source
+from repro.verify.lint import Finding, lint_source
 from repro.verify.model import ModelConfig, PinnedProtocolModel
 from repro.verify.passes import Report, analyze_paths
 from repro.verify.sanitizer import Sanitizer
 
 __all__ = [
     "ExplorationResult", "Finding", "ModelConfig", "PinnedProtocolModel",
-    "Report", "Sanitizer", "analyze_paths", "explore", "lint_paths",
-    "lint_source",
+    "Report", "Sanitizer", "analyze_paths", "explore", "lint_source",
 ]

@@ -52,7 +52,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, List, Optional, Sequence, Set, Union
+from typing import List, Optional, Sequence, Set
 
 #: Functions that read the wall clock, as ``module.attr`` paths.
 WALL_CLOCK_CALLS = {
@@ -534,30 +534,3 @@ def lint_source(source: str, path: str = "<string>",
     lines = source.splitlines()
     return [finding for finding in findings
             if not _waived(finding, lines)]
-
-
-def lint_paths(paths: Iterable[Union[str, Path]]) -> List[Finding]:
-    """Lint every ``.py`` file under the given files/directories.
-
-    The known-set registry (annotated attributes and set-returning
-    functions) is built across *all* files first, so e.g. iteration over
-    ``DirEntry.holders()`` is flagged in ``coherence.py`` even though the
-    annotation lives in ``directory.py``.
-    """
-    files: List[Path] = []
-    for path in paths:
-        path = Path(path)
-        if path.is_dir():
-            files.extend(sorted(path.rglob("*.py")))
-        else:
-            files.append(path)
-    registry = _SetRegistry()
-    sources = {}
-    for file in files:
-        source = file.read_text()
-        sources[file] = source
-        registry.scan(ast.parse(source, filename=str(file)))
-    findings: List[Finding] = []
-    for file, source in sources.items():
-        findings.extend(lint_source(source, str(file), registry))
-    return findings

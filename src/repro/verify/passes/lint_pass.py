@@ -1,9 +1,9 @@
-"""The historical determinism/idiom lint, as a framework pass.
+"""The determinism/idiom lint (``repro.verify.lint``) as a framework
+pass.
 
-``repro verify lint`` remains a compatible standalone entry point; under
-``repro verify analyze`` the same rules run through the shared driver so
-their waivers are audited and their findings are baselinable like any
-other pass's.
+``repro verify analyze --passes lint`` runs it alone.  The rules run
+through the shared driver, so their waivers are audited and their
+findings are baselinable like any other pass's.
 """
 
 from __future__ import annotations
@@ -22,8 +22,8 @@ class LintPass(AnalysisPass):
     rules = dict(lint_mod.RULES)
 
     def run(self, ctx: PassContext) -> List[Finding]:
-        # the known-set registry spans all analyzed files, exactly as
-        # lint_paths builds it
+        # the known-set registry spans all analyzed files, so a set
+        # annotated in one file is known where another iterates it
         registry = lint_mod._SetRegistry()
         for file in ctx.files:
             if file.tree is not None:

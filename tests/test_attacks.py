@@ -180,29 +180,6 @@ class TestCampaign:
             run_campaign(seeds=0)
 
 
-class TestAttackCheckpointRoundTrip:
-    """The transient machinery survives a pause: a run of an
-    adversarial trace stopped with ``run(stop_cycle=...)`` inside the
-    speculation window and continued on the same object finishes
-    bit-identical to an uninterrupted one."""
-
-    def test_snapshot_mid_transient_restores_bit_identical(self):
-        from repro.sim.runner import collect_result
-        from repro.sim.system import System
-        config, workload = attack_cell("prime_probe", 1, 0, "unsafe")
-        straight = System(config, workload)
-        straight.mem.warm(workload)
-        straight.run()
-        expected = collect_result(straight).to_dict()
-        paused = System(config, workload)
-        paused.mem.warm(workload)
-        paused.run(stop_cycle=60)  # inside the speculation window
-        assert not paused.done
-        assert paused.cycles == 60
-        paused.run()
-        assert collect_result(paused).to_dict() == expected
-
-
 class TestBuildCell:
     def test_build_cell_resolves_attack_names(self):
         config, workload = build_cell("attack:lru_probe:s1:seed2",

@@ -100,23 +100,6 @@ class TestAttackExitCodes:
         assert "internal error" in capsys.readouterr().err
 
 
-class TestVerifyExitCodes:
-    def test_lint_finding_is_exit_one(self, tmp_path, capsys):
-        dirty = tmp_path / "dirty.py"
-        dirty.write_text("import time\nnow = time.time()\n")
-        assert main(["verify", "lint", str(dirty)]) == 1
-        assert "wall-clock" in capsys.readouterr().out
-
-    def test_lint_clean_is_exit_zero(self, tmp_path):
-        clean = tmp_path / "clean.py"
-        clean.write_text("VALUE = 1\n")
-        assert main(["verify", "lint", str(clean)]) == 0
-
-    def test_lint_missing_path_exits_nonzero(self):
-        with pytest.raises(SystemExit):
-            main(["verify", "lint", "/no/such/path"])
-
-
 class TestAnalyzeExitCodes:
     """``repro verify analyze``: 0 clean, 1 findings, 2 internal error —
     distinct codes so CI can tell "contract violated" from "tool broke"."""

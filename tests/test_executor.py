@@ -7,20 +7,25 @@ The contracts under test:
 * the cache key is experiment *content* — config + trace fingerprint —
   so same-named workloads with different traces can never alias, and
   any config or trace change invalidates;
-* a raising or deadlocked worker is isolated to a ``TaskFailure``;
+* each cell runs once: a raising or deadlocked cell fails as an
+  ``error`` (a deadlock ends in simulated time, its dump attached), a
+  cell whose pool worker dies fails as ``interrupted``, and the rest of
+  the batch completes;
 * ``System.run`` (with fast-forward) matches the never-skip run of the
   same config (``sanitize=True``), deadlocks included.
 """
 
 import json
 import os
+import signal
 
 import pytest
 
-from repro.common.params import (COMPREHENSIVE, ChaosConfig, DefenseKind,
-                                 PinningMode, SystemConfig)
+from repro.common.params import (COMPREHENSIVE, DefenseKind, PinningMode,
+                                 SystemConfig)
 from repro.isa.trace import Trace, Workload
 from repro.isa.uops import MicroOp, OpClass
+from repro.sim import executor
 from repro.sim.executor import (CACHE_FORMAT_VERSION, Executor,
                                 ResultStore, Task, cache_key)
 from repro.sim.results import SimResult
@@ -212,38 +217,27 @@ class TestPersistentReuse:
 class TestFailureIsolation:
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_raising_task_isolated(self, jobs):
+        """A cell that raises and a cell that deadlocks each fail on
+        their own.  The deadlock ends in simulated time, at the default
+        ``deadlock_cycles`` detector, with its diagnostic dump
+        attached; no wall-clock budget is involved."""
         bad = Task("bad", SystemConfig(num_cores=2), small_workload())
+        hung = Task("hung", SystemConfig(num_cores=2).with_defense(
+            DefenseKind.FENCE, COMPREHENSIVE, PinningMode.EARLY),
+            _hung_workload())
         good = Task("good", BASE, small_workload())
-        outcome = Executor(jobs=jobs).run_tasks([bad, good])
-        assert [f.label for f in outcome.failures] == ["bad"]
-        assert outcome.failures[0].kind == "error"
-        assert "ConfigError" in outcome.failures[0].message
+        outcome = Executor(jobs=jobs).run_tasks([bad, hung, good])
+        assert [f.label for f in outcome.failures] == ["bad", "hung"]
+        bad_failure, hung_failure = outcome.failures
+        assert bad_failure.kind == "error"
+        assert "ConfigError" in bad_failure.message
+        assert hung_failure.kind == "error"
+        assert hung_failure.message.startswith("DeadlockError")
+        assert hung_failure.dump["cycle"] \
+            > SystemConfig().deadlock_cycles
         assert "good" in outcome.results
         with pytest.raises(RuntimeError):
             outcome.result("bad")
-
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_deadlocked_task_times_out(self, jobs):
-        # thread 0 waits on a barrier thread 1 never reaches; with the
-        # deadlock detector effectively disabled the simulation spins
-        # ~forever, so only the per-task timeout can reclaim it.  Run
-        # sanitized: sanitized runs never fast-forward (every invariant
-        # check sees every cycle), so the spin is real and cannot be
-        # short-circuited into a max_cycles DeadlockError.
-        t0 = Trace([MicroOp(0, OpClass.BARRIER, barrier_id=0)], "t0")
-        t1 = Trace([MicroOp(0, OpClass.INT_ALU)], "t1")
-        hung = Workload([t0, t1], name="hung")
-        import dataclasses
-        config = dataclasses.replace(
-            SystemConfig(num_cores=2).with_defense(
-                DefenseKind.FENCE, COMPREHENSIVE, PinningMode.EARLY),
-            deadlock_cycles=10**9, sanitize=True)
-        tasks = [Task("hung", config, hung, timeout_s=1),
-                 Task("good", BASE, small_workload())]
-        outcome = Executor(jobs=jobs).run_tasks(tasks)
-        assert [f.label for f in outcome.failures] == ["hung"]
-        assert outcome.failures[0].kind == "timeout"
-        assert "good" in outcome.results
 
 
 class TestSweepWithExecutor:
@@ -309,114 +303,50 @@ def _hung_workload():
     return Workload([t0, t1], name="hung")
 
 
-def _quiet_chaos(**fields):
-    """A ChaosConfig that injects no timing faults — only the executor
-    process faults (crash/stall) named in ``fields``.  Serial runs of
-    the same config are therefore the bit-exact ground truth: process
-    faults only fire inside pool worker processes."""
-    return ChaosConfig(msg_jitter=0, msg_jitter_prob=0.0, nack_prob=0.0,
-                       evict_interval=0, **fields)
+_real_run_task = executor._run_task
 
 
-class TestAlarmLifecycle:
-    def test_timeout_then_success_back_to_back(self):
-        """Regression for the SIGALRM lifecycle: after a task times out,
-        the next task in the same process must run cleanly — no pending
-        alarm may survive a task, and the previous handler must be back
-        in place."""
-        import dataclasses
-        import signal
-        if not hasattr(signal, "SIGALRM"):
-            pytest.skip("platform has no SIGALRM")
-        before = signal.getsignal(signal.SIGALRM)
-        config = dataclasses.replace(
-            SystemConfig(num_cores=2).with_defense(
-                DefenseKind.FENCE, COMPREHENSIVE, PinningMode.EARLY),
-            # sanitized runs never fast-forward, so the spin is real
-            deadlock_cycles=10**9, sanitize=True)
-        tasks = [Task("hung", config, _hung_workload(), timeout_s=1),
-                 Task("good", BASE, small_workload(), timeout_s=30)]
-        outcome = Executor(jobs=1).run_tasks(tasks)
-        assert [f.label for f in outcome.failures] == ["hung"]
-        assert outcome.failures[0].kind == "timeout"
-        # the second task ran with its own alarm and finished correctly
-        assert outcome.results["good"].to_dict() \
-            == run_simulation(BASE, small_workload()).to_dict()
-        assert signal.alarm(0) == 0   # nothing pending leaked out
-        assert signal.getsignal(signal.SIGALRM) == before
+def _dying_run_task(label, *args):
+    """``_run_task``, except that a cell labelled ``doomed...`` kills
+    its own pool worker, as the kernel OOM killer would."""
+    if label.startswith("doomed"):
+        os.kill(os.getpid(), signal.SIGKILL)
+    return _real_run_task(label, *args)
 
 
-class TestWorkerCrashIsolation:
-    def test_sigkilled_worker_retried_and_sibling_survives(self):
-        """SIGKILL one pool worker mid-batch: the batch still returns
-        every result — the killed task is retried from cycle zero on a
-        rebuilt pool, its result equals the serial one, and nothing
-        raises."""
-        import dataclasses
-        crash = dataclasses.replace(
-            BASE, chaos=_quiet_chaos(crash_at_cycle=400, crash_attempts=1))
-        tasks = [Task("crashy", crash, small_workload()),
+class TestDeadWorker:
+    """A pool worker that dies under a cell: the cell fails as
+    ``interrupted`` and ``run_tasks`` still returns.  Swapping
+    ``executor._run_task`` reaches the forked pool workers (only
+    ``jobs=2`` runs here: a serial swap would kill the test process)."""
+
+    def test_dead_worker_is_an_interrupted_failure(self, monkeypatch):
+        monkeypatch.setattr(executor, "_run_task", _dying_run_task)
+        tasks = [Task("doomed", BASE, small_workload()),
                  Task("solid", BASE, small_workload("leela_r"))]
-        executor = Executor(jobs=2, retries=1)
-        outcome = executor.run_tasks(tasks)
-        assert not outcome.failures
-        assert set(outcome.results) == {"crashy", "solid"}
-        assert outcome.stats["pool_rebuilds"] >= 1
-        assert outcome.stats["retries"] >= 1
-        serial = run_simulation(crash, small_workload())
-        assert outcome.results["crashy"].to_dict() == serial.to_dict()
-        assert outcome.results["solid"].to_dict() \
-            == run_simulation(BASE, small_workload("leela_r")).to_dict()
+        outcome = Executor(jobs=2).run_tasks(tasks)
+        failures = {f.label: f for f in outcome.failures}
+        assert failures["doomed"].kind == "interrupted"
+        # a sibling sharing the broken pool may be interrupted too, but
+        # every label ends as exactly one of a result or a failure
+        assert not set(failures) & set(outcome.results)
+        assert set(failures) | set(outcome.results) == {"doomed", "solid"}
 
-    def test_exhausted_crash_budget_is_a_task_failure(self):
-        """A worker that dies on every attempt ends as a TaskFailure of
-        kind 'interrupted' — run_tasks never raises."""
-        import dataclasses
-        crash = dataclasses.replace(
-            BASE, chaos=_quiet_chaos(crash_at_cycle=400, crash_attempts=99))
-        outcome = Executor(jobs=2, retries=1,
-                           pool_failure_limit=99).run_tasks(
-            [Task("doomed", crash, small_workload())])
-        assert outcome.results == {}
-        assert [f.label for f in outcome.failures] == ["doomed"]
-        assert outcome.failures[0].kind == "interrupted"
-        assert outcome.failures[0].attempts >= 2
-
-    def test_unhealthy_pool_degrades_to_serial(self):
-        """When the pool keeps dying, the executor falls back to serial
-        in-process execution and the whole batch still completes.
-        (Process-fault injection is gated to pool workers, so the
-        repeat-crasher runs clean serially — exactly the 'poisoned
-        environment' the fallback exists for.)"""
-        import dataclasses
-        crash = dataclasses.replace(
-            BASE, chaos=_quiet_chaos(crash_at_cycle=400, crash_attempts=99))
-        tasks = [Task("doomed", crash, small_workload()),
-                 Task("solid", BASE, small_workload("leela_r"))]
-        outcome = Executor(jobs=2, retries=2,
-                           pool_failure_limit=1).run_tasks(tasks)
-        assert not outcome.failures
-        assert set(outcome.results) == {"doomed", "solid"}
-        assert outcome.stats["degraded_serial"] == 1
-        assert outcome.results["doomed"].to_dict() \
-            == run_simulation(crash, small_workload()).to_dict()
-
-
-class TestTimeoutRetry:
-    def test_timed_out_task_retries_and_matches_serial(self):
-        """Acceptance: a task that times out (injected wall-clock stall)
-        is retried from cycle zero and produces a result bit-identical
-        to an unfaulted serial run."""
-        import dataclasses
-        stall = dataclasses.replace(
-            BASE, chaos=_quiet_chaos(stall_at_cycle=400, stall_seconds=30.0,
-                                     stall_attempts=1))
-        task = Task("stall", stall, small_workload(), timeout_s=2)
-        outcome = Executor(jobs=2, retries=1).run_tasks([task])
-        assert not outcome.failures
-        assert outcome.stats["retries"] == 1
-        serial = run_simulation(stall, small_workload())
-        assert outcome.results["stall"].to_dict() == serial.to_dict()
+    def test_sweep_recovers_a_lost_cell(self, monkeypatch):
+        """Why no retry layer is needed: ``Sweep`` simulates a cell its
+        batch left cold on the serial pass, so a grid whose every
+        pooled cell (``doomed:<scheme>``) died equals the serial grid."""
+        from repro.sim.runner import scheme_grid
+        cells = {k: v for k, v in scheme_grid().items()
+                 if k in ("fence-comp", "fence-ep")}
+        workloads = {"doomed": small_workload("mcf_r")}
+        serial = Sweep(BASE, workloads).grid(cells)
+        monkeypatch.setattr(executor, "_run_task", _dying_run_task)
+        sweep = Sweep(BASE, workloads, executor=Executor(jobs=2))
+        assert sweep.grid(cells) == serial
+        # the pool delivered nothing: the baseline and both cells were
+        # simulated on the serial pass
+        assert sweep.cache.simulations == 1 + len(cells)
 
 
 class TestResultStoreQuarantine:
@@ -461,63 +391,3 @@ class TestResultStoreQuarantine:
         # the slot is reusable after quarantine
         store.put(key, result)
         assert store.get(key).to_dict() == result.to_dict()
-
-
-class TestWorkerMemoryCeiling:
-    """``Executor(worker_memory_mb=...)``: RLIMIT_AS in pool workers
-    turns a runaway allocation into a retryable 'oom' failure instead of
-    inviting the kernel OOM killer to shoot the host."""
-
-    def _needs_rlimit(self):
-        import resource
-        if not hasattr(resource, "RLIMIT_AS"):
-            pytest.skip("platform has no RLIMIT_AS")
-
-    def test_oom_is_retried_and_recovers(self):
-        """The chaos alloc fault (16 GiB ballast) trips the 2 GiB worker
-        ceiling on attempt 1; attempt 2 runs clean from cycle zero (the
-        fault is attempt-gated) and its result equals the serial one."""
-        import dataclasses
-        self._needs_rlimit()
-        hog = dataclasses.replace(
-            BASE, chaos=_quiet_chaos(alloc_at_cycle=400, alloc_mb=16384,
-                                     alloc_attempts=1))
-        outcome = Executor(jobs=2, retries=1,
-                           worker_memory_mb=2048).run_tasks(
-            [Task("hog", hog, small_workload())])
-        assert not outcome.failures
-        assert outcome.stats["retries"] == 1
-        # process faults never fire serially, so this is ground truth
-        serial = run_simulation(hog, small_workload())
-        assert outcome.results["hog"].to_dict() == serial.to_dict()
-
-    def test_persistent_hog_fails_as_oom(self):
-        self._needs_rlimit()
-        import dataclasses
-        hog = dataclasses.replace(
-            BASE, chaos=_quiet_chaos(alloc_at_cycle=400, alloc_mb=16384,
-                                     alloc_attempts=99))
-        outcome = Executor(jobs=2, retries=1,
-                           worker_memory_mb=2048).run_tasks(
-            [Task("hog", hog, small_workload())])
-        assert outcome.results == {}
-        assert [f.label for f in outcome.failures] == ["hog"]
-        assert outcome.failures[0].kind == "oom"
-        assert outcome.failures[0].attempts == 2
-        assert "RLIMIT_AS" in outcome.failures[0].message
-
-    def test_ceiling_off_by_default(self):
-        """Without a ceiling a modest allocation sails through — the
-        limit is strictly opt-in."""
-        import dataclasses
-        modest = dataclasses.replace(
-            BASE, chaos=_quiet_chaos(alloc_at_cycle=400, alloc_mb=64,
-                                     alloc_attempts=1))
-        outcome = Executor(jobs=2).run_tasks(
-            [Task("modest", modest, small_workload())])
-        assert not outcome.failures
-        assert outcome.stats["retries"] == 0
-
-    def test_rejects_nonsense_ceiling(self):
-        with pytest.raises(ValueError):
-            Executor(jobs=2, worker_memory_mb=0)

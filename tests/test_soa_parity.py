@@ -16,14 +16,8 @@ Attack pairs from ``attack_cell`` (transient uops, NOP twins) get the
 same check.  What the cycle-by-cycle semantics are is pinned by
 ``GOLDEN_STATS.json``.
 
-More properties pin down the seams:
-
-* a run paused mid-way under the engine with ``run(stop_cycle=...)``
-  and continued on the same object must reach the exact end state of an
-  uninterrupted run — including a pause mid-transient just after a
-  guard resolved, while its wrong-path uops still wait to replay as NOP
-  twins;
-* every configuration builds an engine, and a finished run drops it.
+One more property pins down the seam: every configuration, sanitized
+or not, runs on exactly one ``SpecializedEngine`` per ``System.run``.
 """
 
 import dataclasses
@@ -34,8 +28,8 @@ from hypothesis import strategies as st
 
 from repro.security.attacks import ATTACK_CLASSES, attack_cores, \
     attack_workload
+from repro.sim import engine
 from repro.sim.engine import SpecializedEngine
-from repro.sim.runner import collect_result
 from repro.sim.system import System
 from repro.workloads import WorkloadProfile, build_workload
 from tests import golden_stats
@@ -108,64 +102,6 @@ class TestEngineMatchesReference:
             f"{attack}:s{secret}:seed{seed} {label} chaos={chaos}")
 
 
-class TestCheckpointMidRun:
-    """Pause/continue under the engine: a run stopped with
-    ``run(stop_cycle=...)`` and continued by calling ``run`` again on
-    the same object ends exactly where an uninterrupted run does."""
-
-    @SLOW
-    @given(profile=PROFILES,
-           seed=st.integers(min_value=1, max_value=50),
-           label=st.sampled_from(sorted(CONFIGS)),
-           fraction=st.floats(min_value=0.1, max_value=0.9))
-    def test_snapshot_resume_bit_identity(self, profile, seed, label,
-                                          fraction):
-        """A run paused mid-way under the engine and continued on the
-        same object must finish with exactly the result an
-        uninterrupted run reaches."""
-        workload = build_workload(profile, seed=seed,
-                                  instructions_per_thread=250)
-        config = CONFIGS[label]
-        straight = _fresh(config, workload)
-        total = straight.run()
-        paused = _fresh(config, workload)
-        stop = max(1, int(total * fraction))
-        paused.run(stop_cycle=stop)
-        assert not paused.done
-        assert paused.cycles == stop
-        paused.run()
-        assert collect_result(paused).to_dict() \
-            == collect_result(straight).to_dict(), \
-            f"{label} seed={seed} f={fraction:.2f}"
-
-    @pytest.mark.parametrize("label", ["unsafe", "dom-ep", "invisi-comp"])
-    @pytest.mark.parametrize("attack", ATTACK_CLASSES)
-    def test_resume_after_guard_resolved(self, attack, label):
-        """Pause at the first cycle a guard has resolved, while its
-        transient uops still wait to replay: the resumed run must
-        replay them as NOP twins, or it would re-execute the wrong
-        path."""
-        workload = attack_workload(attack, 1, 0)
-        config = _variant(label, num_cores=attack_cores(attack))
-        straight = _fresh(config, workload)
-        straight.run()
-        expected = collect_result(straight).to_dict()
-        guards = {uop.guard for trace in workload.traces for uop in trace
-                  if uop.guard is not None}
-        paused = _fresh(config, workload)
-        while not any(core._resolved_mispredicts & guards
-                      for core in paused.cores):
-            paused.run(stop_cycle=paused.cycles + 1)
-            assert not paused.done, "no guard resolved before the end"
-        replay_pending = [
-            core for core in paused.cores
-            if any(uop.guard in core._resolved_mispredicts
-                   and uop.index >= core._cursor for uop in core.trace)]
-        assert replay_pending, "every neutered uop already replayed"
-        paused.run()
-        assert collect_result(paused).to_dict() == expected
-
-
 class TestEveryConfigBuildsEngine:
     def _workload(self):
         profile = WorkloadProfile(name="soa-engine", load_frac=0.25,
@@ -175,19 +111,26 @@ class TestEveryConfigBuildsEngine:
 
     @pytest.mark.parametrize("sanitize", [False, True])
     @pytest.mark.parametrize("label", sorted(CONFIGS))
-    def test_config_runs_on_engine(self, label, sanitize):
-        """No configuration falls back to another loop: mid-run the
-        system holds an engine, and it finishes with the counters of
-        the never-skip run (for a sanitized config, of a second
-        sanitized run)."""
+    def test_config_runs_on_engine(self, label, sanitize, monkeypatch):
+        """No configuration falls back to another loop: the run builds
+        exactly one engine, and it finishes with the counters of the
+        never-skip run (for a sanitized config, of a second sanitized
+        run)."""
+        built = []
+        real_build = engine.build_engine
+
+        def build_engine(system):
+            built.append(real_build(system))
+            return built[-1]
+
+        monkeypatch.setattr(engine, "build_engine", build_engine)
         workload = self._workload()
         config = _variant(label, sanitize=sanitize)
         opt = _fresh(config, workload)
-        opt.run(stop_cycle=20)
-        assert isinstance(opt._engine, SpecializedEngine), label
         opt.run()
-        assert opt.done and opt._engine is None, \
-            f"{label}: a finished run keeps its engine"
+        assert len(built) == 1, f"{label}: {len(built)} engine builds"
+        assert isinstance(built[0], SpecializedEngine), label
+        assert opt.done, label
         assert_same_counters(
             golden_stats.counters(opt),
             golden_stats.run_counters(never_skip(config), workload),

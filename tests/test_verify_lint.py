@@ -1,9 +1,10 @@
 """The determinism/idiom lint: each rule fires on a minimal repro, stays
-quiet on the idiomatic fix, and the shipped sources are clean."""
+quiet on the idiomatic fix, and the known-set registry spans files.
+(That the shipped sources are clean is checked by the full analysis,
+``tests/test_verify_passes.py``.)"""
 
-from pathlib import Path
-
-from repro.verify.lint import Finding, lint_paths, lint_source
+from repro.verify.lint import Finding, lint_source
+from repro.verify.passes import analyze_paths
 
 
 def rules_of(findings):
@@ -306,11 +307,6 @@ class TestWaivers:
 
 
 class TestOnTheRepository:
-    def test_repro_package_is_clean(self):
-        package = Path(__file__).resolve().parent.parent / "src" / "repro"
-        findings = lint_paths([package])
-        assert findings == [], "\n".join(str(f) for f in findings)
-
     def test_findings_render_with_location(self):
         finding = Finding("a.py", 3, 7, "wall-clock", "no clocks")
         assert str(finding) == "a.py:3:7: [wall-clock] no clocks"
@@ -325,6 +321,6 @@ class TestOnTheRepository:
             "def f(entry):\n"
             "    for h in entry.holders():\n"
             "        print(h)\n")
-        findings = lint_paths([tmp_path])
+        findings = analyze_paths([tmp_path], passes=["lint"]).findings
         assert [f.rule for f in findings] == ["set-iteration"]
         assert findings[0].path.endswith("use.py")
